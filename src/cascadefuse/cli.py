@@ -1,7 +1,12 @@
 """Command-line entry point.
 
 Subcommands: validate, simulate, generate-synthetic, infectiousness,
-featurize, train, eval, ablate, sweep, import.
+train, eval, ablate, sweep, import.
+
+`train` writes one checkpoint: the parameters (.npz) and a JSON manifest
+with the model config, the tf-idf vocabulary, the user and temporal
+scalers and the label set. `eval` scores with exactly those, whatever
+dataset it is given.
 """
 
 from __future__ import annotations
@@ -12,23 +17,13 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from . import data as dat
 from . import features as feat
 from . import model as mdl
 from . import pointprocess as pp
-from .errors import CascadeFuseError, UsageError
+from .errors import CascadeFuseError
 from .layers import load_checkpoint, save_checkpoint
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("CASCADEFUSE_THREADS")
-    return int(env) if env else 1
 
 
 def _load_config(args, tau: int) -> mdl.ModelConfig:
@@ -46,21 +41,19 @@ def _load_config(args, tau: int) -> mdl.ModelConfig:
     return mdl.ModelConfig(**values)
 
 
-def _grid(args) -> np.ndarray:
-    return pp.default_grid(args.grid_hours)
-
-
-def _featurize_manifest(manifest, config: mdl.ModelConfig, variant=None):
-    splits = manifest.by_split()
-    train_stories = splits.get("train", manifest.stories)
+def _fit_featurizer(splits, config: mdl.ModelConfig):
+    """Vocabulary and user scaler fit on the train split; the config takes the
+    vocabulary's actual size."""
+    train_stories = splits.get("train", [])
     vocab = feat.build_vocabulary(train_stories, K=config.vocab_size)
     scaler = feat.fit_user_scaler(train_stories)
-    config = dataclasses.replace(config, vocab_size=vocab.size)
+    return vocab, scaler, dataclasses.replace(config, vocab_size=vocab.size)
+
+
+def _bundles(splits, vocab, scaler, config: mdl.ModelConfig):
     bcfg = feat.BundleConfig(seq_len=config.seq_len, temporal_len=config.temporal_len,
-                             variant=variant or config.variant)
-    bundles = {split: [feat.build_bundle(s, vocab, scaler, bcfg) for s in stories]
-               for split, stories in splits.items()}
-    return vocab, scaler, bundles, config
+                             variant=config.variant)
+    return feat.build_bundles(splits, vocab, scaler, bcfg)
 
 
 def cmd_validate(args):
@@ -101,19 +94,14 @@ def cmd_generate_synthetic(args):
 
 def cmd_infectiousness(args):
     manifest = dat.load_dataset(args.input)
-    grid = _grid(args)
-
-    def one(story):
-        return story.id, pp.infectiousness_series(story, grid).values
-
-    with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
-        rows = list(pool.map(one, manifest.stories))
+    grid = pp.default_grid(args.grid_hours)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["story_id"] + [f"h{int(h)}" for h in grid])
-        for sid, values in rows:
-            w.writerow([sid] + [f"{v:.10g}" for v in values])
-    print(f"wrote {len(rows)} series -> {args.out}")
+        for story in manifest.stories:
+            values = pp.infectiousness_series(story, grid).values
+            w.writerow([story.id] + [f"{v:.10g}" for v in values])
+    print(f"wrote {len(manifest.stories)} series -> {args.out}")
     return 0
 
 
@@ -127,24 +115,18 @@ def _load_split(args, manifest):
     return manifest
 
 
-def cmd_featurize(args):
-    manifest = _load_split(args, dat.load_dataset(args.input))
-    config = _load_config(args, tau=len(manifest.label_set))
-    vocab, scaler, bundles, config = _featurize_manifest(manifest, config)
-    feat.save_featurizer(args.out, vocab, scaler)
-    counts = {k: len(v) for k, v in bundles.items()}
-    print(f"featurizer (K={vocab.size}) -> {args.out}; bundles per split: {counts}")
-    return 0
-
-
 def cmd_train(args):
     manifest = _load_split(args, dat.load_dataset(args.input))
+    splits = manifest.by_split()
     config = _load_config(args, tau=len(manifest.label_set))
-    vocab, scaler, bundles, config = _featurize_manifest(manifest, config)
+    vocab, scaler, config = _fit_featurizer(splits, config)
+    bundles = _bundles(splits, vocab, scaler, config)
     params, history, tscaler = mdl.train(bundles["train"], bundles["val"], config,
                                          label_set=manifest.label_set)
     save_checkpoint(args.out, params, manifest={
         "config": dataclasses.asdict(config),
+        "vocabulary": {"terms": list(vocab.terms), "idf": vocab.idf.tolist()},
+        "user_scaler": {"means": scaler.means.tolist(), "stds": scaler.stds.tolist()},
         "temporal_scaler": {"mean": tscaler.mean, "std": tscaler.std},
         "label_set": list(manifest.label_set)})
     with open(str(args.out) + ".history.json", "w", encoding="utf-8") as f:
@@ -158,34 +140,34 @@ def cmd_eval(args):
     manifest = _load_split(args, dat.load_dataset(args.input))
     values, meta = load_checkpoint(args.checkpoint)
     config = mdl.ModelConfig(**meta["config"])
-    vocab, scaler, bundles, config2 = _featurize_manifest(manifest, config)
+    vocab = feat.Vocabulary(terms=tuple(meta["vocabulary"]["terms"]),
+                            idf=meta["vocabulary"]["idf"])
+    scaler = feat.UserScaler(**meta["user_scaler"])
+    test = {"test": manifest.by_split().get("test", [])}
     params = mdl.init_params(config)
     params.load_values(values)
-    tscaler = mdl.TemporalScaler(**meta["temporal_scaler"])
-    report = mdl.evaluate(bundles["test"], params, config,
-                          label_set=tuple(meta["label_set"]), scaler=tscaler)
+    report = mdl.evaluate(_bundles(test, vocab, scaler, config)["test"], params, config,
+                          label_set=tuple(meta["label_set"]),
+                          scaler=mdl.TemporalScaler(**meta["temporal_scaler"]))
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2)
     print(f"accuracy {report.accuracy:.4f} -> {args.out}")
     return 0
 
 
-def _train_eval(manifest, config):
-    _, _, bundles, config = _featurize_manifest(manifest, config)
-    params, _, tscaler = mdl.train(bundles["train"], bundles["val"], config,
-                                   label_set=manifest.label_set)
-    report = mdl.evaluate(bundles["test"], params, config,
-                          label_set=manifest.label_set, scaler=tscaler)
-    return report
-
-
 def cmd_ablate(args):
     manifest = _load_split(args, dat.load_dataset(args.input))
+    splits = manifest.by_split()
+    base = _load_config(args, tau=len(manifest.label_set))
+    vocab, scaler, base = _fit_featurizer(splits, base)
     out = {}
-    for variant in ("full", "no_cim", "no_time", "freq"):
-        config = dataclasses.replace(_load_config(args, tau=len(manifest.label_set)),
-                                     variant=variant)
-        report = _train_eval(manifest, config)
+    for variant in feat.VARIANTS:
+        config = dataclasses.replace(base, variant=variant)
+        bundles = _bundles(splits, vocab, scaler, config)
+        params, _, tscaler = mdl.train(bundles["train"], bundles["val"], config,
+                                       label_set=manifest.label_set)
+        report = mdl.evaluate(bundles["test"], params, config,
+                              label_set=manifest.label_set, scaler=tscaler)
         out[variant] = report.to_dict()
         print(f"{variant}: accuracy {report.accuracy:.4f}")
     with open(args.out, "w", encoding="utf-8") as f:
@@ -195,12 +177,9 @@ def cmd_ablate(args):
 
 def cmd_sweep(args):
     manifest = _load_split(args, dat.load_dataset(args.input))
-    config = _load_config(args, tau=len(manifest.label_set))
     splits = manifest.by_split()
-    train_stories = splits.get("train", manifest.stories)
-    vocab = feat.build_vocabulary(train_stories, K=config.vocab_size)
-    scaler = feat.fit_user_scaler(train_stories)
-    config = dataclasses.replace(config, vocab_size=vocab.size)
+    config = _load_config(args, tau=len(manifest.label_set))
+    vocab, scaler, config = _fit_featurizer(splits, config)
     days = [int(d) for d in args.days.split(",")]
     rows = mdl.timeframe_sweep(splits, vocab, scaler, days, config,
                                label_set=manifest.label_set)
@@ -223,7 +202,6 @@ def cmd_import(args):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cascadefuse")
-    ap.add_argument("--threads", type=int, default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, needs_out=True):
@@ -261,12 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--grid-hours", type=int, default=47)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_infectiousness)
-
-    p = sub.add_parser("featurize", help="build and save the featurizer artifact")
-    common(p)
-    p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train a model variant")
     common(p)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .cascade import (
     NewsStory,
     UserProfile,
 )
-from .errors import EmptyCorpus
+from .errors import ConfigMismatch, EmptyCorpus
 from .pointprocess import (
     KernelParams,
     DEFAULT_PARAMS,
@@ -113,12 +112,11 @@ class Vocabulary:
         return idx
 
 
-def build_vocabulary(corpus: list[NewsStory], K: int = 5000,
-                     rank_by: str = "max") -> Vocabulary:
+def build_vocabulary(corpus: list[NewsStory], K: int = 5000) -> Vocabulary:
     """Build the top-K tf-idf vocabulary from training stories.
 
     idf(w) = ln((1 + N) / (1 + df(w))) + 1 over the N training posts; terms
-    are ranked by their max (or sum) tf-idf across posts, ties lexicographic.
+    are ranked by their max tf-idf across posts, ties lexicographic.
     """
     if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
@@ -130,10 +128,7 @@ def build_vocabulary(corpus: list[NewsStory], K: int = 5000,
         counts = Counter(doc)
         for w, tf in counts.items():
             df[w] += 1
-            if rank_by == "max":
-                best_tf[w] = max(best_tf.get(w, 0.0), tf)
-            else:
-                best_tf[w] = best_tf.get(w, 0.0) + tf
+            best_tf[w] = max(best_tf.get(w, 0.0), tf)
     idf = {w: math.log((1 + n_docs) / (1 + d)) + 1.0 for w, d in df.items()}
     scored = sorted(idf, key=lambda w: (-best_tf[w] * idf[w], w))
     terms = tuple(scored[:K])
@@ -203,7 +198,7 @@ class BundleConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ConfigMismatch(f"unknown variant {self.variant!r}")
 
     def grid(self) -> np.ndarray:
         return default_grid(self.temporal_len)
@@ -245,27 +240,8 @@ def build_bundle(story: NewsStory, vocab: Vocabulary, scaler: UserScaler,
                          temporal=temporal, label=story.label)
 
 
-ARTIFACT_VERSION = 1
-
-
-def save_featurizer(path, vocab: Vocabulary, scaler: UserScaler) -> None:
-    """Persist the vocabulary and scaler as a versioned JSON artifact."""
-    doc = {
-        "version": ARTIFACT_VERSION,
-        "terms": list(vocab.terms),
-        "idf": vocab.idf.tolist(),
-        "user_means": scaler.means.tolist(),
-        "user_stds": scaler.stds.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, ensure_ascii=False)
-
-
-def load_featurizer(path) -> tuple[Vocabulary, UserScaler]:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("version") != ARTIFACT_VERSION:
-        raise ValueError(f"unsupported featurizer version {doc.get('version')!r}")
-    vocab = Vocabulary(terms=tuple(doc["terms"]), idf=np.array(doc["idf"]))
-    scaler = UserScaler(means=np.array(doc["user_means"]), stds=np.array(doc["user_stds"]))
-    return vocab, scaler
+def build_bundles(stories_by_split: dict[str, list[NewsStory]], vocab: Vocabulary,
+                  scaler: UserScaler, config: BundleConfig) -> dict[str, list[FeatureBundle]]:
+    """build_bundle over every story of every split, keyed like the input."""
+    return {split: [build_bundle(s, vocab, scaler, config) for s in stories]
+            for split, stories in stories_by_split.items()}

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionalityMismatch, InvalidClass, ShapeMismatch
+from .errors import ConfigMismatch, DimensionalityMismatch, InvalidClass, ShapeMismatch
 
 PROB_FLOOR = 1e-12
 
@@ -158,7 +158,7 @@ def adadelta_step(params: ParameterSet, rho: float = 0.95, eps: float = 1e-6):
     params.zero_grad()
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, params: ParameterSet, manifest: dict | None = None):
@@ -180,7 +180,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(base + ".json", encoding="utf-8") as f:
         meta = json.load(f)
     if meta.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+        raise ConfigMismatch(f"unsupported checkpoint version {meta.get('version')!r}"
+                             f" (expected {CHECKPOINT_VERSION})")
     with np.load(base + ".npz") as npz:
         values = {k: npz[k] for k in npz.files}
     return values, meta

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigMismatch, EmptyDataset, EmptySpace
-from .features import BundleConfig, FeatureBundle, build_bundle
+from .features import VARIANTS, BundleConfig, FeatureBundle, build_bundles
 from .layers import (
     HiddenSequence,
     ParameterSet,
@@ -23,8 +23,6 @@ from .layers import (
     glorot,
     gru_unroll,
 )
-
-VARIANTS = ("full", "no_cim", "no_time", "freq")
 
 
 @dataclass(frozen=True)
@@ -49,9 +47,9 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ConfigMismatch(f"unknown variant {self.variant!r}")
         if self.E_l != self.E_u:
-            raise ValueError("CIM requires E_l == E_u")
+            raise ConfigMismatch("CIM requires E_l == E_u")
 
     @property
     def has_temporal(self) -> bool:
@@ -328,30 +326,21 @@ def grid_search(train_bundles, val_bundles, candidates: list[ModelConfig],
 
 
 def timeframe_sweep(stories_by_split, vocab, user_scaler, days: list[int],
-                    config: ModelConfig, label_set=("true", "fake"),
-                    kernel=None):
+                    config: ModelConfig, label_set=("true", "fake")):
     """Re-featurize and retrain for each time frame; day 0 is the no_time variant.
 
     stories_by_split maps {"train": [...], "val": [...], "test": [...]}.
     Returns a list of (days, accuracy) pairs.
     """
-    from .pointprocess import DEFAULT_PARAMS
-
-    kernel = kernel or DEFAULT_PARAMS
     rows = []
     for d in days:
         if d == 0:
             cfg = replace(config, variant="no_time")
-            bcfg = BundleConfig(seq_len=config.seq_len, temporal_len=config.temporal_len,
-                                variant="no_time", kernel=kernel)
         else:
-            t_len = 24 * d - 1
-            cfg = replace(config, temporal_len=t_len)
-            bcfg = BundleConfig(seq_len=config.seq_len, temporal_len=t_len,
-                                variant=cfg.variant, kernel=kernel)
-        bundles = {split: [build_bundle(s, vocab, user_scaler, bcfg)
-                           for s in stories]
-                   for split, stories in stories_by_split.items()}
+            cfg = replace(config, temporal_len=24 * d - 1)
+        bcfg = BundleConfig(seq_len=cfg.seq_len, temporal_len=cfg.temporal_len,
+                            variant=cfg.variant)
+        bundles = build_bundles(stories_by_split, vocab, user_scaler, bcfg)
         params, _, scaler = train(bundles["train"], bundles["val"], cfg, label_set)
         report = evaluate(bundles["test"], params, cfg, label_set, scaler=scaler)
         rows.append((d, report.accuracy))

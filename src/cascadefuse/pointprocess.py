@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cascade import NewsStory, Post
 from .errors import (
@@ -70,6 +69,8 @@ class InfectiousnessSeries:
     def __post_init__(self):
         if len(self.grid) != len(self.values):
             raise ValueError("grid and values must have equal length")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("infectiousness values must be finite")
         if any(v < 0 for v in self.values):
             raise ValueError("infectiousness values must be non-negative")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -108,29 +109,13 @@ def triangular_kernel(s: float, t: float) -> float:
     return max(1.0 - 2.0 * s / t, 0.0)
 
 
-def _kernel_integral_quad(t_i: float, t: float, params: KernelParams,
-                          tol: float = 1e-10) -> float:
-    """Adaptive-quadrature evaluation of the estimator denominator integral."""
-    lo = max(t_i, t / 2.0)
-    if lo >= t:
-        return 0.0
-
-    def integrand(s):
-        return (1.0 - 2.0 * (t - s) / t) * memory_kernel(s - t_i, params)
-
-    # split at the kernel's regime boundary when it falls inside the range
-    split = t_i + params.s0
-    pts = [split] if lo < split < t else None
-    val, _ = quad(integrand, lo, t, points=pts, epsabs=tol, epsrel=tol, limit=200)
-    return val
-
-
 def _kernel_integral_analytic(t_i, t, params: KernelParams):
     """Closed-form integral of triangle weight x memory kernel, vectorized in t_i.
 
     In u = s - t_i the weight is linear, (2u + 2 t_i - t)/t, supported on
     u >= t/2 - t_i; the kernel is piecewise (flat, power-law) with the break
-    at u = s0, so each regime integrates in closed form.
+    at u = s0, so each regime integrates in closed form; at theta = 1 the
+    power-law primitive takes its logarithmic limit.
     """
     t_i = np.asarray(t_i, dtype=float)
     c, s0, theta = params.c, params.s0, params.theta
@@ -156,28 +141,27 @@ def _kernel_integral_analytic(t_i, t, params: KernelParams):
     valid = hi > lo
     coef = c * s0 ** (1.0 + theta) / t
 
-    def power_prim(u):
-        u = np.maximum(u, 1e-300)
-        return coef * (2.0 * u ** (1.0 - theta) / (1.0 - theta) - b * u ** (-theta) / theta)
+    # within 1e-8 of theta = 1 the closed form loses more digits to cancellation
+    # than the limit is off by; either side of the switch stays within ~2e-7
+    if abs(theta - 1.0) > 1e-8:
+        def power_prim(u):
+            u = np.maximum(u, 1e-300)
+            return coef * (2.0 * u ** (1.0 - theta) / (1.0 - theta) - b * u ** (-theta) / theta)
+    else:
+        # 2u^(1-theta)/(1-theta) -> 2 ln u, up to a constant that cancels
+        def power_prim(u):
+            u = np.maximum(u, 1e-300)
+            return coef * (2.0 * np.log(u) - b / u)
 
     out += np.where(valid, power_prim(hi) - power_prim(lo), 0.0)
     return out
 
 
-def kernel_integral(t_i: float, t: float, params: KernelParams = DEFAULT_PARAMS,
-                    method: str = "auto") -> float:
-    """Integral of K_t(t - s) * phi(s - t_i) over s in [t_i, t].
-
-    Piecewise closed form by default; falls back to adaptive quadrature when
-    the power-law exponent sits on a removable singularity of the closed form.
-    """
+def kernel_integral(t_i: float, t: float, params: KernelParams = DEFAULT_PARAMS) -> float:
+    """Integral of K_t(t - s) * phi(s - t_i) over s in [t_i, t], in closed form."""
     if t_i < 0 or t_i >= t:
         raise InvalidInterval(f"require 0 <= t_i < t, got t_i={t_i}, t={t}")
-    if method == "quad":
-        return _kernel_integral_quad(t_i, t, params)
-    if method == "analytic" or abs(params.theta - 1.0) > 1e-9:
-        return float(_kernel_integral_analytic(np.asarray([t_i]), t, params)[0])
-    return _kernel_integral_quad(t_i, t, params)
+    return float(_kernel_integral_analytic(np.asarray([t_i]), t, params)[0])
 
 
 def _posts_arrays(story: NewsStory):

@@ -1,22 +1,32 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from cascadefuse.cli import run_command
-from cascadefuse.data import generate_synthetic, save_dataset, split_dataset
+from cascadefuse.data import SyntheticProfile, generate_synthetic, save_dataset, split_dataset
+from cascadefuse.features import BundleConfig, build_bundle, build_vocabulary, fit_user_scaler
+from cascadefuse.layers import load_checkpoint
+from cascadefuse.model import ModelConfig, TemporalScaler, evaluate, init_params
+
+
+def synthetic(seed, **profile):
+    return split_dataset(generate_synthetic(6, seed=seed,
+                                            profile_spec=SyntheticProfile(**profile)),
+                         seed=seed)
+
+
+def write_dataset(path, manifest):
+    save_dataset(manifest, path)
+    with open(str(path) + ".split.json", "w") as f:
+        json.dump(manifest.split, f)
+    return path
 
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli")
-    m = generate_synthetic(6, seed=3)
-    m = split_dataset(m, seed=3)
-    path = root / "stories.jsonl"
-    save_dataset(m, path)
-    with open(str(path) + ".split.json", "w") as f:
-        json.dump(m.split, f)
-    return path
+    return write_dataset(tmp_path_factory.mktemp("cli") / "stories.jsonl", synthetic(3))
 
 
 def test_validate(tiny_dataset, capsys):
@@ -52,11 +62,22 @@ def test_infectiousness_csv(tiny_dataset, tmp_path):
 
 
 def test_featurize(tiny_dataset, tmp_path):
-    out = tmp_path / "featurizer.json"
-    assert run_command(["featurize", "--input", str(tiny_dataset),
-                        "--out", str(out)]) == 0
-    doc = json.load(open(out))
-    assert "terms" in doc and "idf" in doc
+    # `train` fits the featurizer on the train split alone, at --vocab-size
+    ckpt = tmp_path / "model"
+    assert run_command(["train", "--input", str(tiny_dataset), "--out", str(ckpt),
+                        "--max-epochs", "1", "--seq-len", "10",
+                        "--vocab-size", "5"]) == 0
+    manifest = synthetic(3)
+    train = manifest.by_split()["train"]
+    vocab, scaler = build_vocabulary(train, K=5), fit_user_scaler(train)
+    # a fit on every story would give other terms and scaling
+    assert build_vocabulary(manifest.stories, K=5).terms != vocab.terms
+    assert not np.array_equal(fit_user_scaler(manifest.stories).means, scaler.means)
+    meta = json.load(open(tmp_path / "model.json"))
+    assert meta["vocabulary"] == {"terms": list(vocab.terms), "idf": vocab.idf.tolist()}
+    assert meta["user_scaler"] == {"means": scaler.means.tolist(),
+                                   "stds": scaler.stds.tolist()}
+    assert meta["config"]["vocab_size"] == 5
 
 
 def test_train_eval_roundtrip(tiny_dataset, tmp_path):
@@ -68,12 +89,58 @@ def test_train_eval_roundtrip(tiny_dataset, tmp_path):
     assert (tmp_path / "model.json").exists()
     assert (tmp_path / "model.history.json").exists()
 
+    # the manifest carries the featurizer fit on the train split
+    train = synthetic(3).by_split()["train"]
+    vocab, scaler = build_vocabulary(train), fit_user_scaler(train)
+    meta = json.load(open(tmp_path / "model.json"))
+    assert meta["vocabulary"] == {"terms": list(vocab.terms), "idf": vocab.idf.tolist()}
+    assert meta["user_scaler"] == {"means": scaler.means.tolist(),
+                                   "stds": scaler.stds.tolist()}
+    assert meta["config"]["vocab_size"] == vocab.size
+
     report = tmp_path / "report.json"
     assert run_command(["eval", "--input", str(tiny_dataset),
                         "--checkpoint", str(ckpt), "--out", str(report)]) == 0
     doc = json.load(open(report))
     assert 0.0 <= doc["accuracy"] <= 1.0
     assert "per_class_f1" in doc
+
+
+def test_eval_on_other_dataset_uses_checkpoint_featurizer(tiny_dataset, tmp_path):
+    ckpt = tmp_path / "model"
+    assert run_command(["train", "--input", str(tiny_dataset), "--out", str(ckpt),
+                        "--max-epochs", "2", "--seq-len", "10"]) == 0
+    other = synthetic(11, shared_text=True)
+    report = tmp_path / "report.json"
+    assert run_command(["eval", "--input", str(write_dataset(tmp_path / "b.jsonl", other)),
+                        "--checkpoint", str(ckpt), "--out", str(report)]) == 0
+
+    train = synthetic(3).by_split()["train"]
+    vocab, scaler = build_vocabulary(train), fit_user_scaler(train)
+    # a refit on the eval input would index the terms differently
+    assert build_vocabulary(other.by_split()["train"]).terms != vocab.terms
+    values, meta = load_checkpoint(ckpt)
+    config = ModelConfig(**meta["config"])
+    params = init_params(config)
+    params.load_values(values)
+    bundles = [build_bundle(s, vocab, scaler, BundleConfig(seq_len=10))
+               for s in other.by_split()["test"]]
+    want = evaluate(bundles, params, config,
+                    scaler=TemporalScaler(**meta["temporal_scaler"]))
+    assert json.load(open(report)) == json.loads(json.dumps(want.to_dict()))
+
+
+def test_eval_rejects_checkpoint_of_another_version(tiny_dataset, tmp_path, capsys):
+    (tmp_path / "old.json").write_text(json.dumps({"version": 1}))
+    assert run_command(["eval", "--input", str(tiny_dataset), "--checkpoint",
+                        str(tmp_path / "old"), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: unsupported checkpoint version 1")
+
+
+def test_train_rejects_unknown_variant(tiny_dataset, tmp_path, capsys):
+    assert run_command(["train", "--input", str(tiny_dataset), "--out",
+                        str(tmp_path / "m"), "--variant", "bogus"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown variant 'bogus'")
 
 
 def test_sweep_csv(tiny_dataset, tmp_path):

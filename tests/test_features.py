@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cascadefuse.cascade import NewsStory, Post, UserProfile
+from cascadefuse.cli import run_command
+from cascadefuse.data import generate_synthetic, save_dataset, split_dataset
 from cascadefuse.errors import EmptyCorpus
 from cascadefuse.features import (
     URL_TOKEN,
@@ -14,12 +17,11 @@ from cascadefuse.features import (
     build_bundle,
     build_vocabulary,
     fit_user_scaler,
-    load_featurizer,
-    save_featurizer,
     tokenize,
     user_vector,
     vectorize_post,
 )
+from cascadefuse.layers import load_checkpoint
 
 
 def story_of_texts(texts, label="true", sid="s", t_step=10.0, followers=5.0):
@@ -203,13 +205,31 @@ def test_featurizer_artifacts_depend_only_on_training_split():
     assert np.array_equal(scaler1.means, scaler2.means)
 
 
+
 def test_featurizer_roundtrip(tmp_path):
-    vocab = build_vocabulary(TOY, K=3)
-    scaler = fit_user_scaler(TOY)
-    path = tmp_path / "featurizer.json"
-    save_featurizer(path, vocab, scaler)
-    vocab2, scaler2 = load_featurizer(path)
+    # the vocabulary and user scaler `train` writes into the checkpoint manifest
+    # come back bit for bit, and featurize a story as the in-memory fit does
+    m = split_dataset(generate_synthetic(6, seed=5), seed=5)
+    data = tmp_path / "stories.jsonl"
+    save_dataset(m, data)
+    with open(str(data) + ".split.json", "w") as f:
+        json.dump(m.split, f)
+    assert run_command(["train", "--input", str(data), "--out", str(tmp_path / "model"),
+                        "--max-epochs", "1", "--seq-len", "5"]) == 0
+    _, meta = load_checkpoint(tmp_path / "model")
+    vocab2 = Vocabulary(terms=tuple(meta["vocabulary"]["terms"]),
+                        idf=meta["vocabulary"]["idf"])
+    scaler2 = UserScaler(**meta["user_scaler"])
+
+    train = m.by_split()["train"]
+    vocab, scaler = build_vocabulary(train), fit_user_scaler(train)
     assert vocab2.terms == vocab.terms
-    assert np.allclose(vocab2.idf, vocab.idf)
-    assert np.allclose(scaler2.means, scaler.means)
-    assert np.allclose(scaler2.stds, scaler.stds)
+    assert np.array_equal(vocab2.idf, vocab.idf)
+    assert np.array_equal(scaler2.means, scaler.means)
+    assert np.array_equal(scaler2.stds, scaler.stds)
+    cfg = BundleConfig(seq_len=5)
+    b1 = build_bundle(m.stories[0], vocab, scaler, cfg)
+    b2 = build_bundle(m.stories[0], vocab2, scaler2, cfg)
+    assert all(np.array_equal(x.to_dense(), y.to_dense())
+               for x, y in zip(b1.linguistic, b2.linguistic))
+    assert np.array_equal(b1.users, b2.users)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cascadefuse.cascade import NewsStory, Post
+from cascadefuse.data import generate_synthetic
 from cascadefuse.errors import (
     EmptyGrid,
     InvalidInterval,
@@ -17,6 +18,7 @@ from cascadefuse.errors import (
 )
 from cascadefuse.pointprocess import (
     DEFAULT_C,
+    InfectiousnessSeries,
     KernelParams,
     default_grid,
     estimate_infectiousness,
@@ -156,6 +158,17 @@ def test_kernel_integral_matches_oracle_on_random_cases():
             assert got == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("theta", [1.0, 1.0 - 5e-9, 1.0 + 5e-9, 1.0 - 2e-8, 1.0 + 2e-8])
+def test_kernel_integral_at_and_around_theta_one(theta):
+    # theta = 1 is the closed form's removable singularity (log limit)
+    params = KernelParams(theta=theta)
+    for t_i, t in [(0.0, 7200.0), (100.0, 47 * 3600.0), (5000.0, 7200.0),
+                   (3000.0, 5 * 3600.0), (0.0, 7 * 86400.0)]:
+        got = kernel_integral(t_i, t, params)
+        assert math.isfinite(got)
+        assert got == pytest.approx(quad_oracle(t_i, t, params), rel=1e-6)
+
+
 # --- intensity ---
 
 def test_intensity_single_post_flat_regime():
@@ -255,6 +268,25 @@ def test_series_zero_denominator_degrades_with_warning():
     with pytest.warns(UserWarning):
         series = infectiousness_series(story, [1.0, 2.0])
     assert series.values == (0.0, 0.0)
+
+
+def test_series_theta_one_matches_oracle():
+    story = generate_synthetic(2, seed=7).stories[0]
+    params = KernelParams(theta=1.0)
+    grid = [1.0, 6.0, 24.0, 47.0]
+    series = infectiousness_series(story, grid, params)
+    for h, got in zip(grid, series.values):
+        t = h * 3600.0
+        num = sum(max(1 - 2 * (t - p.t) / t, 0) for p in story.posts[1:] if p.t <= t)
+        den = sum(p.followers * quad_oracle(p.t, t, params) for p in story.posts if p.t < t)
+        assert math.isfinite(got)
+        assert got == pytest.approx(num / den if num > 0 else 0.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_series_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        InfectiousnessSeries(grid=(1.0, 2.0), values=(0.1, bad))
 
 
 def test_series_empty_grid():
