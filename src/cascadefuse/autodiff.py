@@ -305,6 +305,31 @@ def embedding_lookup(E: Tensor, indices: np.ndarray, values: np.ndarray) -> Tens
     return Tensor(out_data, parents=(E,), backward=bwd)
 
 
+def embedding_sequence(E: Tensor, posts, mask: np.ndarray) -> Tensor:
+    """embedding_lookup of every real post as one (T, D) node; padded rows and
+    empty posts are zero.
+
+    posts is a sequence of T sparse vectors with `indices` and `values`.
+    """
+    T, D = len(posts), E.data.shape[1]
+    real = [t for t in range(T) if mask[t] and posts[t].indices.size]
+    if not real:
+        return Tensor(np.zeros((T, D)))
+    idx = np.concatenate([posts[t].indices for t in real])
+    vals = np.concatenate([posts[t].values for t in real])
+    rows = np.repeat(real, [posts[t].indices.size for t in real])
+    weights = np.zeros((T, idx.size))  # row t holds post t's values
+    weights[rows, np.arange(idx.size)] = vals
+    out_data = weights @ E.data[idx]
+
+    def bwd(g):
+        gE = np.zeros_like(E.data)
+        np.add.at(gE, idx, vals[:, None] * g[rows])
+        E._accumulate(gE)
+
+    return Tensor(out_data, parents=(E,), backward=bwd)
+
+
 def pick(x: Tensor, index: int) -> Tensor:
     """Select one element of a 1-D tensor."""
     out_data = np.asarray(x.data[index])

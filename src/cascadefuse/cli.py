@@ -121,8 +121,8 @@ def cmd_train(args):
     config = _load_config(args, tau=len(manifest.label_set))
     vocab, scaler, config = _fit_featurizer(splits, config)
     bundles = _bundles(splits, vocab, scaler, config)
-    params, history, tscaler = mdl.train(bundles["train"], bundles["val"], config,
-                                         label_set=manifest.label_set)
+    params, history, tscaler = mdl.train(bundles.get("train", []), bundles.get("val", []),
+                                         config, label_set=manifest.label_set)
     save_checkpoint(args.out, params, manifest={
         "config": dataclasses.asdict(config),
         "vocabulary": {"terms": list(vocab.terms), "idf": vocab.idf.tolist()},
@@ -164,9 +164,9 @@ def cmd_ablate(args):
     for variant in feat.VARIANTS:
         config = dataclasses.replace(base, variant=variant)
         bundles = _bundles(splits, vocab, scaler, config)
-        params, _, tscaler = mdl.train(bundles["train"], bundles["val"], config,
-                                       label_set=manifest.label_set)
-        report = mdl.evaluate(bundles["test"], params, config,
+        params, _, tscaler = mdl.train(bundles.get("train", []), bundles.get("val", []),
+                                       config, label_set=manifest.label_set)
+        report = mdl.evaluate(bundles.get("test", []), params, config,
                               label_set=manifest.label_set, scaler=tscaler)
         out[variant] = report.to_dict()
         print(f"{variant}: accuracy {report.accuracy:.4f}")
@@ -204,12 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cascadefuse")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def dataset_options(p):
         p.add_argument("--input", required=True)
-        if needs_out:
-            p.add_argument("--out", required=True)
+        p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--split", default=None)
+
+    def model_options(p):
+        dataset_options(p)
         p.add_argument("--config", default=None)
         p.add_argument("--variant", default=None)
         p.add_argument("--seq-len", dest="seq_len", type=int, default=None)
@@ -242,20 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infectiousness)
 
     p = sub.add_parser("train", help="train a model variant")
-    common(p)
+    model_options(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    common(p)
+    dataset_options(p)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and evaluate all four variants")
-    common(p)
+    model_options(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="time-frame sweep over day counts")
-    common(p)
+    model_options(p)
     p.add_argument("--days", default="0,1,2,3,4,5,6")
     p.set_defaults(func=cmd_sweep)
 

@@ -14,6 +14,7 @@ from .autodiff import Tensor
 from .errors import ConfigMismatch, DimensionalityMismatch, InvalidClass, ShapeMismatch
 
 PROB_FLOOR = 1e-12
+GRU_FORMS = ("paper", "standard")
 
 
 class Parameter(Tensor):
@@ -87,24 +88,95 @@ class HiddenSequence:
     mask: np.ndarray     # (T,) bool
 
 
+def gru_sequence(X: Tensor, mask: np.ndarray, U_z, W_z, U_r, W_r, U_h, W_h,
+                 form: str = "paper") -> HiddenSequence:
+    """gru_step over the real rows of a (T, D) input, recorded as one tape node
+    whose backward is hand-written backpropagation through time.
+
+    Padded rows emit zero states and do not advance the carried state.
+    """
+    if form not in GRU_FORMS:
+        raise ConfigMismatch(f"unknown GRU form {form!r}")
+    mask = np.asarray(mask, dtype=bool)
+    x = X.data
+    if x.shape != (mask.size, U_z.data.shape[0]):
+        raise ShapeMismatch(f"gru_sequence: input {x.shape} vs mask {mask.shape} "
+                            f"and weight {U_z.data.shape}")
+    real = np.flatnonzero(mask)
+    n, E = real.size, U_z.data.shape[1]
+    states = np.zeros((mask.size, E))
+    if n == 0:
+        return HiddenSequence(states=Tensor(states), mask=mask)
+    paper = form == "paper"
+    # z and r share one matmul: column blocks [:E] are z, [E:] are r
+    U_zr = np.concatenate([U_z.data, U_r.data], axis=1)
+    W_zr = np.concatenate([W_z.data, W_r.data], axis=1)
+    Wh = W_h.data
+    Xr = x[real]
+    P_zr, P_h = Xr @ U_zr, Xr @ U_h.data
+    H = np.zeros((n + 1, E))     # H[k] is the state entering real step k
+    ZR = np.empty((n, 2 * E))
+    F = np.empty((n, E))         # candidate
+    A = np.empty((n, E))         # paper: r @ W_h; standard: r * h
+    for k in range(n):
+        h = H[k]
+        zr = ZR[k] = 1.0 / (1.0 + np.exp(-(P_zr[k] + h @ W_zr)))
+        z, r = zr[:E], zr[E:]
+        if paper:
+            a = A[k] = r @ Wh
+            f = F[k] = np.tanh(P_h[k] + h * a)
+        else:
+            a = A[k] = r * h
+            f = F[k] = np.tanh(P_h[k] + a @ Wh)
+        H[k + 1] = (1.0 - z) * h + z * f
+    states[real] = H[1:]
+    weights = (U_z, W_z, U_r, W_r, U_h, W_h)
+
+    def bwd(g):
+        G = g[real]
+        dP_zr = np.empty((n, 2 * E))
+        dP_h = np.empty((n, E))
+        dA = np.empty((n, E))        # paper only: gradient of r @ W_h
+        W_zr_T, Wh_T = W_zr.T, Wh.T
+        dh = np.zeros(E)
+        for k in range(n - 1, -1, -1):
+            dh = dh + G[k]
+            h, z, r, f = H[k], ZR[k, :E], ZR[k, E:], F[k]
+            dp_h = dP_h[k] = dh * z * (1.0 - f * f)
+            dprev = dh * (1.0 - z)
+            if paper:
+                da = dA[k] = dp_h * h
+                dprev += dp_h * A[k]
+                dr = da @ Wh_T
+            else:
+                drh = dp_h @ Wh_T
+                dr = drh * h
+                dprev += drh * r
+            dp_zr = dP_zr[k]
+            dp_zr[:E] = dh * (f - h) * z * (1.0 - z)
+            dp_zr[E:] = dr * r * (1.0 - r)
+            dh = dprev + dp_zr @ W_zr_T
+        Hp = H[:-1]
+        dWh = ZR[:, E:].T @ dA if paper else A.T @ dP_h
+        grads = (Xr.T @ dP_zr[:, :E], Hp.T @ dP_zr[:, :E],
+                 Xr.T @ dP_zr[:, E:], Hp.T @ dP_zr[:, E:],
+                 Xr.T @ dP_h, dWh)
+        for w, gw in zip(weights, grads):
+            if w.requires_grad:
+                w._accumulate(gw)
+        if X.requires_grad:
+            gx = np.zeros_like(x)
+            gx[real] = dP_zr @ U_zr.T + dP_h @ U_h.data.T
+            X._accumulate(gx)
+
+    return HiddenSequence(states=Tensor(states, parents=(X,) + weights, backward=bwd),
+                          mask=mask)
+
+
 def gru_unroll(inputs: list[Tensor], mask: np.ndarray, U_z, W_z, U_r, W_r, U_h, W_h,
                form: str = "paper") -> HiddenSequence:
-    """Run the GRU over the real prefix of a sequence of 1-D step inputs.
-
-    Padded positions emit zero rows and do not advance the carried state.
-    """
-    T = len(inputs)
-    E = U_z.data.shape[1]
-    h = Tensor(np.zeros(E))
-    zero = Tensor(np.zeros(E))
-    rows = []
-    for t in range(T):
-        if mask[t]:
-            h = gru_step(inputs[t], h, U_z, W_z, U_r, W_r, U_h, W_h, form=form)
-            rows.append(h)
-        else:
-            rows.append(zero)
-    return HiddenSequence(states=ad.stack_rows(rows), mask=np.asarray(mask, dtype=bool))
+    """gru_sequence over a list of 1-D step inputs."""
+    return gru_sequence(ad.stack_rows(inputs), mask, U_z, W_z, U_r, W_r, U_h, W_h, form=form)
 
 
 def cim_attention(H_l: HiddenSequence, H_u: HiddenSequence):

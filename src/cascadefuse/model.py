@@ -14,6 +14,7 @@ from .autodiff import Tensor
 from .errors import ConfigMismatch, EmptyDataset, EmptySpace
 from .features import VARIANTS, BundleConfig, FeatureBundle, build_bundles
 from .layers import (
+    GRU_FORMS,
     HiddenSequence,
     ParameterSet,
     adadelta_step,
@@ -21,7 +22,7 @@ from .layers import (
     cross_entropy,
     fc,
     glorot,
-    gru_unroll,
+    gru_sequence,
 )
 
 
@@ -50,6 +51,10 @@ class ModelConfig:
             raise ConfigMismatch(f"unknown variant {self.variant!r}")
         if self.E_l != self.E_u:
             raise ConfigMismatch("CIM requires E_l == E_u")
+        if self.gru_form not in GRU_FORMS:
+            raise ConfigMismatch(f"unknown GRU form {self.gru_form!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigMismatch(f"dropout {self.dropout!r} outside [0, 1)")
 
     @property
     def has_temporal(self) -> bool:
@@ -115,10 +120,10 @@ def _gru_weights(params, prefix):
     return tuple(params[f"{prefix}_{n}"] for n in ("Uz", "Wz", "Ur", "Wr", "Uh", "Wh"))
 
 
-def _encode_path(inputs, mask, params, prefix, config, training, rng) -> HiddenSequence:
-    """GRU over the sequence, dropout on the raw states, per-step FC, dropout
-    again, then re-zero the padded rows."""
-    seq = gru_unroll(inputs, mask, *_gru_weights(params, prefix), form=config.gru_form)
+def _encode_path(X: Tensor, mask, params, prefix, config, training, rng) -> HiddenSequence:
+    """GRU over the (T, D) input, dropout on the raw states, per-step FC,
+    dropout again, then re-zero the padded rows."""
+    seq = gru_sequence(X, mask, *_gru_weights(params, prefix), form=config.gru_form)
     h = ad.dropout(seq.states, config.dropout, training, rng)
     h = fc(h, params[f"{prefix}_fcW"], params[f"{prefix}_fcb"])
     h = ad.dropout(h, config.dropout, training, rng)
@@ -148,14 +153,9 @@ def forward(bundle: FeatureBundle, params: ParameterSet, config: ModelConfig,
             f"vocab size {bundle.linguistic[0].dim} != config {config.vocab_size}")
 
     mask = bundle.mask
-    E = params["embed"]
-    ling_in = [ad.embedding_lookup(E, v.indices, v.values) if mask[t]
-               else Tensor(np.zeros(config.embed_dim))
-               for t, v in enumerate(bundle.linguistic)]
+    ling_in = ad.embedding_sequence(params["embed"], bundle.linguistic, mask)
     H_l = _encode_path(ling_in, mask, params, "ling", config, training, rng)
-
-    user_in = [Tensor(bundle.users[t]) for t in range(config.seq_len)]
-    H_u = _encode_path(user_in, mask, params, "user", config, training, rng)
+    H_u = _encode_path(Tensor(bundle.users), mask, params, "user", config, training, rng)
 
     pooled = [ad.maxpool_time(H_l.states, mask), ad.maxpool_time(H_u.states, mask)]
     trace = {}
@@ -165,7 +165,7 @@ def forward(bundle: FeatureBundle, params: ParameterSet, config: ModelConfig,
         trace["attention"] = attn
     if config.has_temporal:
         temp_mask = np.ones(config.temporal_len, dtype=bool)
-        temp_in = [Tensor(np.array([v])) for v in bundle.temporal]
+        temp_in = Tensor(bundle.temporal[:, None])
         H_s = _encode_path(temp_in, temp_mask, params, "temp", config, training, rng)
         pooled.append(ad.maxpool_time(H_s.states, temp_mask))
 
@@ -341,7 +341,8 @@ def timeframe_sweep(stories_by_split, vocab, user_scaler, days: list[int],
         bcfg = BundleConfig(seq_len=cfg.seq_len, temporal_len=cfg.temporal_len,
                             variant=cfg.variant)
         bundles = build_bundles(stories_by_split, vocab, user_scaler, bcfg)
-        params, _, scaler = train(bundles["train"], bundles["val"], cfg, label_set)
-        report = evaluate(bundles["test"], params, cfg, label_set, scaler=scaler)
+        params, _, scaler = train(bundles.get("train", []), bundles.get("val", []), cfg,
+                                  label_set)
+        report = evaluate(bundles.get("test", []), params, cfg, label_set, scaler=scaler)
         rows.append((d, report.accuracy))
     return rows

@@ -4,6 +4,7 @@ import pytest
 from cascadefuse import autodiff as ad
 from cascadefuse.autodiff import Tensor
 from cascadefuse.errors import AllMasked, GraphNotBuilt, ShapeMismatch
+from cascadefuse.features import SparseVec
 
 STEP = 1e-5
 TOL = 1e-4
@@ -137,6 +138,39 @@ def test_embedding_empty_is_zero():
     E = Tensor(rng.normal(size=(5, 3)))
     out = ad.embedding_lookup(E, np.empty(0, dtype=np.int64), np.empty(0))
     assert np.all(out.data == 0)
+
+
+def test_embedding_sequence_matches_per_post_lookup():
+    # repeated indices within and across posts, an empty post, padded rows
+    posts = [SparseVec(np.array([0, 2, 2]), np.array([1.0, 0.5, -0.3]), 5),
+             SparseVec(np.empty(0, dtype=np.int64), np.empty(0), 5),
+             SparseVec(np.array([2, 4]), np.array([2.0, 0.7]), 5),
+             SparseVec(np.array([1]), np.array([9.0]), 5),
+             SparseVec(np.empty(0, dtype=np.int64), np.empty(0), 5)]
+    mask = np.array([True, True, True, False, False])
+    upstream = Tensor(rng.normal(size=(5, 3)))
+    E0 = rng.normal(size=(5, 3))
+
+    E = Tensor(E0.copy(), requires_grad=True)
+    got = ad.embedding_sequence(E, posts, mask)
+    (got * upstream).sum().backward()
+
+    E_ref = Tensor(E0.copy(), requires_grad=True)
+    want = ad.stack_rows([ad.embedding_lookup(E_ref, v.indices, v.values) if m
+                          else Tensor(np.zeros(3)) for v, m in zip(posts, mask)])
+    (want * upstream).sum().backward()
+    assert np.all(got.data[~mask] == 0) and np.all(got.data[1] == 0)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-12 * np.max(np.abs(want.data))
+    assert np.max(np.abs(E.grad - E_ref.grad)) <= 1e-12 * np.max(np.abs(E_ref.grad))
+    assert np.all(E.grad[[1, 3]] == 0)  # rows read only by padded posts
+
+
+def test_embedding_sequence_without_terms_records_no_gradient():
+    empty = SparseVec(np.empty(0, dtype=np.int64), np.empty(0), 4)
+    E = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    out = ad.embedding_sequence(E, [empty, empty], np.array([True, False]))
+    assert out.data.shape == (2, 2) and np.all(out.data == 0)
+    assert not out.requires_grad
 
 
 def test_dropout_eval_mode_identity():

@@ -143,6 +143,39 @@ def test_train_rejects_unknown_variant(tiny_dataset, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: unknown variant 'bogus'")
 
 
+def test_train_without_val_split_is_an_error(tmp_path, capsys):
+    # 3 stories per class in train leave round(0.15 * 3) = 0 for val
+    data = tmp_path / "small.jsonl"
+    assert run_command(["generate-synthetic", "--n-per-class", "4", "--seed", "3",
+                        "--out", str(data)]) == 0
+    assert "val" not in json.load(open(str(data) + ".split.json")).values()
+    capsys.readouterr()
+    assert run_command(["train", "--input", str(data), "--out", str(tmp_path / "m"),
+                        "--max-epochs", "1", "--seq-len", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: training and validation sets")
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"gru_form": "bogus"}, "error: unknown GRU form 'bogus'"),
+    ({"dropout": 1.0}, "error: dropout 1.0 outside [0, 1)"),
+    ({"dropout": -0.1}, "error: dropout -0.1 outside [0, 1)"),
+])
+def test_train_rejects_invalid_model_config(tiny_dataset, tmp_path, capsys, values, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run_command(["train", "--input", str(tiny_dataset), "--out", str(tmp_path / "m"),
+                        "--config", str(cfg), "--max-epochs", "1", "--seq-len", "10"]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "m.npz").exists()
+
+
+def test_eval_rejects_model_options(tiny_dataset, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["eval", "--input", str(tiny_dataset), "--checkpoint", str(tmp_path / "m"),
+                     "--out", str(tmp_path / "r.json"), "--variant", "no_time"])
+    assert exc.value.code == 2
+
+
 def test_sweep_csv(tiny_dataset, tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_command(["sweep", "--input", str(tiny_dataset), "--out", str(out),

@@ -3,7 +3,12 @@ import pytest
 
 from cascadefuse import autodiff as ad
 from cascadefuse.autodiff import Tensor
-from cascadefuse.errors import DimensionalityMismatch, InvalidClass, ShapeMismatch
+from cascadefuse.errors import (
+    ConfigMismatch,
+    DimensionalityMismatch,
+    InvalidClass,
+    ShapeMismatch,
+)
 from cascadefuse.layers import (
     HiddenSequence,
     Parameter,
@@ -13,6 +18,7 @@ from cascadefuse.layers import (
     cross_entropy,
     fc,
     glorot,
+    gru_sequence,
     gru_step,
     gru_unroll,
     load_checkpoint,
@@ -138,6 +144,73 @@ def test_unroll_padded_positions_zero_and_frozen():
     assert np.all(seq.states.data[2:] == 0)
     short = gru_unroll(xs[:2], np.ones(2, dtype=bool), *gru_args(w))
     assert np.allclose(seq.states.data[:2], short.states.data)
+
+
+# --- gru_sequence vs the gru_step tape ---
+
+def gru_chain(X, mask, *weights, form="paper"):
+    """The tape oracle: one gru_step per real row of X, each reading its row
+    through X.T @ one-hot so that X's gradient flows through the tape."""
+    T, E = X.data.shape[0], weights[0].data.shape[1]
+    h = zero = Tensor(np.zeros(E))
+    rows = []
+    for t in range(T):
+        if mask[t]:
+            h = gru_step(X.T @ Tensor(np.eye(T)[t]), h, *weights, form=form)
+        rows.append(h if mask[t] else zero)
+    return ad.stack_rows(rows)
+
+
+def rel_err(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("form", ["paper", "standard"])
+@pytest.mark.parametrize("mask", [[1, 1, 1, 1, 1], [1, 1, 0, 1, 0, 0], [0, 1, 1, 0],
+                                  [1], [0, 0, 0]])
+def test_gru_sequence_matches_gru_step_chain(form, mask):
+    mask = np.array(mask, dtype=bool)
+    g = np.random.default_rng(len(mask) + 10 * mask.sum())
+    D, E = 3, 4
+    x = g.normal(size=(mask.size, D))
+    w0 = [g.normal(size=s) * 0.7 for s in ((D, E), (E, E)) * 3]
+    upstream = Tensor(g.normal(size=(mask.size, E)))
+
+    def run(fn):
+        X = Tensor(x, requires_grad=True)
+        ws = [Parameter(w.copy()) for w in w0]
+        states = fn(X, mask, *ws, form=form)
+        if mask.any():
+            (states * upstream).sum().backward()
+        return states.data, [X.grad] + [w.grad for w in ws]
+
+    got_states, got_grads = run(lambda *a, **k: gru_sequence(*a, **k).states)
+    want_states, want_grads = run(gru_chain)
+    assert got_states.shape == (mask.size, E)
+    assert np.all(got_states[~mask] == 0)
+    if not mask.any():
+        assert np.all(got_states == 0) and all(gr is None for gr in got_grads)
+        return
+    assert rel_err(got_states, want_states) <= 1e-12
+    for got, want in zip(got_grads, want_grads):
+        assert rel_err(got, want) <= 1e-12
+
+
+def test_gru_sequence_rejects_unknown_form_and_shapes():
+    w = gru_args(make_gru_weights(3, 2))
+    with pytest.raises(ConfigMismatch):
+        gru_sequence(Tensor(np.zeros((2, 3))), np.ones(2, dtype=bool), *w, form="bogus")
+    with pytest.raises(ShapeMismatch):
+        gru_sequence(Tensor(np.zeros((2, 3))), np.ones(3, dtype=bool), *w)
+    with pytest.raises(ShapeMismatch):
+        gru_sequence(Tensor(np.zeros((2, 4))), np.ones(2, dtype=bool), *w)
+
+
+def test_gru_sequence_is_one_tape_node():
+    w = [Parameter(v.data) for v in gru_args(make_gru_weights(3, 2))]
+    seq = gru_sequence(Tensor(rng.normal(size=(6, 3))), np.ones(6, dtype=bool), *w)
+    assert set(map(id, seq.states._parents)) >= set(map(id, w))
+    assert all(p._parents == () for p in seq.states._parents)
 
 
 # --- cim attention ---

@@ -3,9 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cascadefuse import autodiff as ad
+from cascadefuse import model
+from cascadefuse.autodiff import Tensor
 from cascadefuse.errors import ConfigMismatch, EmptyDataset, EmptySpace
 from cascadefuse.features import FeatureBundle, SparseVec
-from cascadefuse.layers import ParameterSet, cross_entropy
+from cascadefuse.layers import HiddenSequence, ParameterSet, cross_entropy, gru_step
 from cascadefuse.model import (
     EvalReport,
     ModelConfig,
@@ -180,6 +183,44 @@ def test_train_deterministic_history():
     _, h2, _ = train(data[:4], data[4:], cfg)
     assert h1.train_loss == h2.train_loss
     assert h1.val_loss == h2.val_loss
+
+
+def tape_gru_sequence(X, mask, *weights, form="paper"):
+    """The per-gate tape the fused op replaces: one gru_step per real row."""
+    T, E = X.data.shape[0], weights[0].data.shape[1]
+    h = zero = Tensor(np.zeros(E))
+    rows = []
+    for t in range(T):
+        if mask[t]:
+            h = gru_step(X.T @ Tensor(np.eye(T)[t]), h, *weights, form=form)
+        rows.append(h if mask[t] else zero)
+    return HiddenSequence(states=ad.stack_rows(rows), mask=mask)
+
+
+def tape_embedding_sequence(E, posts, mask):
+    return ad.stack_rows([ad.embedding_lookup(E, v.indices, v.values) if m
+                          else Tensor(np.zeros(E.data.shape[1]))
+                          for v, m in zip(posts, mask)])
+
+
+@pytest.mark.parametrize("gru_form", ["paper", "standard"])
+def test_train_trajectory_matches_tape_oracle(monkeypatch, gru_form):
+    cfg = ModelConfig(variant="full", max_epochs=3, patience=10, seed=5, dropout=0.5,
+                      gru_form=gru_form, **{k: v for k, v in TOY.items() if k != "dropout"})
+    data = make_dataset(8)
+    data[0] = dataclasses.replace(data[0], mask=np.array([True, True, False]))
+    fused, h_fused, _ = train(data[:6], data[6:], cfg)
+    with monkeypatch.context() as m:
+        m.setattr(model, "gru_sequence", tape_gru_sequence)
+        m.setattr(ad, "embedding_sequence", tape_embedding_sequence)
+        tape, h_tape, _ = train(data[:6], data[6:], cfg)
+    assert len(h_fused.train_loss) == 3
+    for got, want in ((h_fused.train_loss, h_tape.train_loss),
+                      (h_fused.val_loss, h_tape.val_loss)):
+        assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-10
+    for k in tape:
+        scale = np.max(np.abs(tape[k].data))
+        assert np.max(np.abs(fused[k].data - tape[k].data)) <= 1e-10 * scale, k
 
 
 # --- evaluation ---
