@@ -33,8 +33,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a C-order copy: one g may reach several parents (x + y hands it
+            # to both), and some backward passes hand over a transposed view
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def backward(self):
         """Backpropagate from this scalar through the recorded tape."""

@@ -110,6 +110,3 @@ class MixedLabelSets(CascadeFuseError):
 class TooFewStories(CascadeFuseError):
     pass
 
-
-class UsageError(CascadeFuseError):
-    pass

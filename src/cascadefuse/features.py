@@ -10,12 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import (
-    PROFILE_COUNT_FIELDS,
-    PROFILE_FLAG_FIELDS,
-    NewsStory,
-    UserProfile,
-)
+from .cascade import NewsStory, UserProfile
 from .errors import ConfigMismatch, EmptyCorpus
 from .pointprocess import (
     KernelParams,

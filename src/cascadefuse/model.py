@@ -49,7 +49,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigMismatch(f"unknown variant {self.variant!r}")
-        if self.E_l != self.E_u:
+        if self.has_cim and self.E_l != self.E_u:
             raise ConfigMismatch("CIM requires E_l == E_u")
         if self.gru_form not in GRU_FORMS:
             raise ConfigMismatch(f"unknown GRU form {self.gru_form!r}")
@@ -214,14 +214,6 @@ def _label_index(label: str, label_set) -> int:
     return list(label_set).index(label)
 
 
-def _dataset_loss(bundles, labels, params, config) -> float:
-    total = 0.0
-    for b, y in zip(bundles, labels):
-        z, _ = forward(b, params, config, training=False)
-        total += float(cross_entropy(z, y).data)
-    return total / len(bundles)
-
-
 def train(train_bundles: list[FeatureBundle], val_bundles: list[FeatureBundle],
           config: ModelConfig, label_set=("true", "fake")):
     """Per-story AdaDelta training with early stopping on validation loss.
@@ -234,7 +226,6 @@ def train(train_bundles: list[FeatureBundle], val_bundles: list[FeatureBundle],
     train_bundles = [scaler.apply(b) for b in train_bundles]
     val_bundles = [scaler.apply(b) for b in val_bundles]
     y_train = [_label_index(b.label, label_set) for b in train_bundles]
-    y_val = [_label_index(b.label, label_set) for b in val_bundles]
 
     params = init_params(config)
     rng = np.random.default_rng(config.seed + 1)
@@ -254,7 +245,7 @@ def train(train_bundles: list[FeatureBundle], val_bundles: list[FeatureBundle],
             adadelta_step(params)
         history.train_loss.append(epoch_loss / len(train_bundles))
 
-        val_loss = _dataset_loss(val_bundles, y_val, params, config)
+        val_loss = evaluate(val_bundles, params, config, label_set).loss
         history.val_loss.append(val_loss)
         if val_loss < best_val - config.min_improvement:
             best_val = val_loss

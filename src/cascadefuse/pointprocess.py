@@ -82,22 +82,34 @@ def default_grid(n_hours: int = 47) -> np.ndarray:
     return np.arange(1, n_hours + 1, dtype=float)
 
 
-def memory_kernel(s: float, params: KernelParams = DEFAULT_PARAMS) -> float:
-    """Reshare-delay density: c for 0 < s <= s0, power-law decay beyond."""
-    if s <= 0:
-        raise NonPositiveDelay(f"delay must be positive, got {s}")
-    if s <= params.s0:
-        return params.c
-    return params.c * (s / params.s0) ** (-(1.0 + params.theta))
+def _grid(grid_hours) -> np.ndarray:
+    """The grid in hours (default_grid() for None): non-empty, positive, increasing."""
+    grid = default_grid() if grid_hours is None else np.asarray(grid_hours, dtype=float)
+    if grid.size == 0:
+        raise EmptyGrid("grid must be non-empty")
+    if not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be strictly increasing and positive")
+    return grid
 
 
-def _phi(s: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Vectorized memory kernel; s -> 0+ limit is c (used for t_i = t events)."""
+def _phi(s, params: KernelParams) -> np.ndarray:
+    """Memory kernel on an array of delays; the s -> 0+ limit is c."""
     s = np.asarray(s, dtype=float)
     out = np.full(s.shape, params.c)
     tail = s > params.s0
     out[tail] = params.c * (s[tail] / params.s0) ** (-(1.0 + params.theta))
     return out
+
+
+def memory_kernel(s: float, params: KernelParams = DEFAULT_PARAMS) -> float:
+    """Reshare-delay density: c for 0 < s <= s0, power-law decay beyond."""
+    if s <= 0:
+        raise NonPositiveDelay(f"delay must be positive, got {s}")
+    return float(_phi(s, params))
+
+
+def _triangle(s, t):
+    return np.maximum(1.0 - 2.0 * s / t, 0.0)
 
 
 def triangular_kernel(s: float, t: float) -> float:
@@ -106,68 +118,64 @@ def triangular_kernel(s: float, t: float) -> float:
         raise NonPositiveWindow(f"window must be positive, got {t}")
     if s < 0:
         raise NonPositiveDelay(f"delay must be non-negative, got {s}")
-    return max(1.0 - 2.0 * s / t, 0.0)
+    return float(_triangle(s, t))
 
 
 def _kernel_integral_analytic(t_i, t, params: KernelParams):
-    """Closed-form integral of triangle weight x memory kernel, vectorized in t_i.
+    """Closed-form integral of triangle weight x memory kernel, in the
+    broadcast shape of t_i and t (0 where t_i >= t).
 
     In u = s - t_i the weight is linear, (2u + 2 t_i - t)/t, supported on
     u >= t/2 - t_i; the kernel is piecewise (flat, power-law) with the break
-    at u = s0, so each regime integrates in closed form; at theta = 1 the
+    at u = s0, so each regime integrates in closed form, its upper end clamped
+    to its lower end so that an empty regime gives exactly 0; at theta = 1 the
     power-law primitive takes its logarithmic limit.
     """
-    t_i = np.asarray(t_i, dtype=float)
     c, s0, theta = params.c, params.s0, params.theta
     u_lo = np.maximum(0.0, t / 2.0 - t_i)
     u_hi = t - t_i
-
-    out = np.zeros(t_i.shape)
-
-    # flat regime: integral of c*(2u + 2 t_i - t)/t
-    lo = u_lo
-    hi = np.minimum(u_hi, s0)
-    valid = hi > lo
     b = 2.0 * t_i - t
 
+    # flat regime: integral of c*(2u + 2 t_i - t)/t
     def flat_prim(u):
         return (c / t) * (u * u + b * u)
 
-    out += np.where(valid, flat_prim(hi) - flat_prim(lo), 0.0)
+    out = flat_prim(np.maximum(np.minimum(u_hi, s0), u_lo)) - flat_prim(u_lo)
 
-    # power-law regime: c*(u/s0)^-(1+theta) * (2u + b)/t
+    # power-law regime: c*(u/s0)^-(1+theta) * (2u + b)/t, on u >= s0 > 0
     lo = np.maximum(u_lo, s0)
-    hi = u_hi
-    valid = hi > lo
+    hi = np.maximum(u_hi, lo)
     coef = c * s0 ** (1.0 + theta) / t
 
     # within 1e-8 of theta = 1 the closed form loses more digits to cancellation
     # than the limit is off by; either side of the switch stays within ~2e-7
     if abs(theta - 1.0) > 1e-8:
         def power_prim(u):
-            u = np.maximum(u, 1e-300)
             return coef * (2.0 * u ** (1.0 - theta) / (1.0 - theta) - b * u ** (-theta) / theta)
     else:
         # 2u^(1-theta)/(1-theta) -> 2 ln u, up to a constant that cancels
         def power_prim(u):
-            u = np.maximum(u, 1e-300)
             return coef * (2.0 * np.log(u) - b / u)
 
-    out += np.where(valid, power_prim(hi) - power_prim(lo), 0.0)
-    return out
+    return out + (power_prim(hi) - power_prim(lo))
 
 
 def kernel_integral(t_i: float, t: float, params: KernelParams = DEFAULT_PARAMS) -> float:
     """Integral of K_t(t - s) * phi(s - t_i) over s in [t_i, t], in closed form."""
     if t_i < 0 or t_i >= t:
         raise InvalidInterval(f"require 0 <= t_i < t, got t_i={t_i}, t={t}")
-    return float(_kernel_integral_analytic(np.asarray([t_i]), t, params)[0])
+    return float(_kernel_integral_analytic(np.array([t_i]), t, params)[0])
 
 
-def _posts_arrays(story: NewsStory):
-    times = np.array([p.t for p in story.posts], dtype=float)
-    followers = np.array([p.followers for p in story.posts], dtype=float)
-    return times, followers
+def _posts_arrays(story: NewsStory, t_end: float):
+    """Rows of times and follower counts of the story's posts at or before t_end seconds."""
+    posts = np.array([(p.t, p.followers) for p in story.posts], dtype=float).reshape(-1, 2)
+    return posts[posts[:, 0] <= t_end].T
+
+
+def _excitation(times, followers, t: float, params: KernelParams) -> float:
+    """History term sum_i n_i * phi(t - t_i) over posts at or before t."""
+    return float((followers * _phi(np.maximum(t - times, 1e-9), params)).sum())
 
 
 def intensity(story: NewsStory, s_h: float, t: float,
@@ -177,10 +185,19 @@ def intensity(story: NewsStory, s_h: float, t: float,
         raise TimeBeforeOrigin(f"t must be >= 0, got {t}")
     if s_h < 0:
         raise ValueError("s_h must be non-negative")
-    times, followers = _posts_arrays(story)
-    sel = times <= t
-    lam = s_h * float(np.sum(followers[sel] * _phi(t - times[sel], params)))
-    return IntensityValue(lam=lam, at_time=t)
+    return IntensityValue(lam=s_h * _excitation(*_posts_arrays(story, t), t, params), at_time=t)
+
+
+def _estimate(times, followers, t, params: KernelParams):
+    """Numerator and denominator of the estimate at each window end of t
+    (seconds), in one (G, n) pass; a post after a window end adds 0 to both."""
+    if len(times) == 0 or times[0] != 0:
+        raise ValueError("story must contain its source post at t = 0")
+    t = t[:, None]
+    reshares = times[1:]
+    num = np.sum(np.where(reshares <= t, _triangle(t - reshares, t), 0.0), axis=1)
+    den = np.sum(followers * _kernel_integral_analytic(times, t, params), axis=1)
+    return num, den
 
 
 def estimate_infectiousness(story: NewsStory, t: float,
@@ -194,50 +211,31 @@ def estimate_infectiousness(story: NewsStory, t: float,
     """
     if t <= 0:
         raise NonPositiveTime(f"t must be positive, got {t}")
-    times, followers = _posts_arrays(story)
-    sel = times <= t
-    times, followers = times[sel], followers[sel]
-    if len(times) == 0 or times[0] != 0:
-        raise ValueError("story must contain its source post at t = 0")
-
-    # reshares only in the numerator; K_t(0) limit is 1
-    num = float(np.sum(np.maximum(1.0 - 2.0 * (t - times[1:]) / t, 0.0)))
+    (num,), (den,) = _estimate(*_posts_arrays(story, t), np.array([t], dtype=float), params)
     if num == 0.0:
         return 0.0
-
-    strict = times < t  # the t_i = t integral is empty
-    den = float(np.sum(followers[strict]
-                       * _kernel_integral_analytic(times[strict], t, params)))
     if den <= 0.0:
         raise ZeroDenominator(f"story {story.id!r}: zero denominator at t={t}")
-    return num / den
+    return float(num / den)
 
 
 def infectiousness_series(story: NewsStory, grid_hours=None,
                           params: KernelParams = DEFAULT_PARAMS) -> InfectiousnessSeries:
     """Infectiousness estimates at each hourly grid point; degrades to 0 on
     a zero denominator rather than aborting the story."""
-    grid = default_grid() if grid_hours is None else np.asarray(grid_hours, dtype=float)
-    if grid.size == 0:
-        raise EmptyGrid("grid must be non-empty")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing and positive")
-    values = []
-    for h in grid:
-        try:
-            values.append(estimate_infectiousness(story, h * SECONDS_PER_HOUR, params))
-        except ZeroDenominator:
-            warnings.warn(f"story {story.id!r}: zero denominator at hour {h}, using 0",
-                          stacklevel=2)
-            values.append(0.0)
+    grid = _grid(grid_hours)
+    t = grid * SECONDS_PER_HOUR
+    num, den = _estimate(*_posts_arrays(story, t[-1]), t, params)
+    for h in grid[(num > 0) & (den <= 0)]:
+        warnings.warn(f"story {story.id!r}: zero denominator at hour {h}, using 0",
+                      stacklevel=2)
+    values = np.divide(num, den, out=np.zeros_like(num), where=(num > 0) & (den > 0))
     return InfectiousnessSeries(grid=tuple(grid), values=tuple(values))
 
 
 def post_count_series(story: NewsStory, grid_hours=None) -> np.ndarray:
     """Number of posts falling in each grid bin (grid[k-1], grid[k]], first bin from 0."""
-    grid = default_grid() if grid_hours is None else np.asarray(grid_hours, dtype=float)
-    if grid.size == 0:
-        raise EmptyGrid("grid must be non-empty")
+    grid = _grid(grid_hours)
     times_h = np.array([p.t for p in story.posts]) / SECONDS_PER_HOUR
     # right-inclusive bins (grid[k-1], grid[k]]; the source at t=0 lands in the first
     idx = np.searchsorted(grid, times_h, side="left")
@@ -269,7 +267,7 @@ def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
     while t < horizon:
         # the excitation kernel is non-increasing, so the history term at the
         # window start bounds it over the whole window
-        hist = float(np.sum(foll_arr * _phi(np.maximum(t - times_arr, 1e-9), params)))
+        hist = _excitation(times_arr, foll_arr, t, params)
         w_end = min(t + lookahead, horizon)
         grid = np.linspace(t, w_end, 5) / SECONDS_PER_HOUR
         s_max = max(float(s_h_profile(h)) for h in grid)
@@ -285,7 +283,7 @@ def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
             continue
         t = t + wait
         lam = (float(s_h_profile(t / SECONDS_PER_HOUR))
-               * float(np.sum(foll_arr * _phi(np.maximum(t - times_arr, 1e-9), params))))
+               * _excitation(times_arr, foll_arr, t, params))
         if rng.uniform() <= lam / bound:
             times.append(t)
             followers.append(float(follower_sampler(rng)))

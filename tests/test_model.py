@@ -107,6 +107,20 @@ def test_e_con_matches_f1_dim_per_variant():
         assert trace["f1_dim"] == cfg.e_con
 
 
+def test_no_cim_allows_unequal_path_sizes():
+    cfg = ModelConfig(variant="no_cim", max_epochs=1, **dict(TOY, E_l=8, E_u=4))
+    _, trace = forward(toy_bundle(), init_params(cfg), cfg)
+    assert trace["f1_dim"] == cfg.E_l + cfg.E_u + cfg.E_s
+    data = make_dataset(4)
+    _, history, _ = train(data[:2], data[2:], cfg)
+    assert len(history.train_loss) == 1 and np.isfinite(history.val_loss[0])
+
+
+def test_cim_requires_equal_path_sizes():
+    with pytest.raises(ConfigMismatch):
+        ModelConfig(variant="full", **dict(TOY, E_l=8, E_u=4))
+
+
 # --- gradient of the composed model ---
 
 def test_full_model_matches_finite_differences():

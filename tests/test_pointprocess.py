@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -270,10 +271,12 @@ def test_series_zero_denominator_degrades_with_warning():
     assert series.values == (0.0, 0.0)
 
 
-def test_series_theta_one_matches_oracle():
+@pytest.mark.parametrize("theta", [P.theta, 1.0])
+def test_series_matches_oracle(theta):
+    # the whole default grid: hours inside the cascade and hours after its last reshare
     story = generate_synthetic(2, seed=7).stories[0]
-    params = KernelParams(theta=1.0)
-    grid = [1.0, 6.0, 24.0, 47.0]
+    params = KernelParams(theta=theta)
+    grid = default_grid()
     series = infectiousness_series(story, grid, params)
     for h, got in zip(grid, series.values):
         t = h * 3600.0
@@ -281,6 +284,15 @@ def test_series_theta_one_matches_oracle():
         den = sum(p.followers * quad_oracle(p.t, t, params) for p in story.posts if p.t < t)
         assert math.isfinite(got)
         assert got == pytest.approx(num / den if num > 0 else 0.0, rel=1e-6)
+
+
+def test_series_matches_pointwise_estimates():
+    # the grid pass masks the posts after each window end; the one-point
+    # estimate never sees them. Only the summation order may differ.
+    for story in generate_synthetic(2, seed=7).stories:
+        series = infectiousness_series(story)
+        pointwise = [estimate_infectiousness(story, h * 3600.0) for h in default_grid()]
+        np.testing.assert_allclose(series.values, pointwise, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -292,6 +304,16 @@ def test_series_rejects_non_finite_values(bad):
 def test_series_empty_grid():
     with pytest.raises(EmptyGrid):
         infectiousness_series(make_story([(0.0, 1.0)]), [])
+
+
+@pytest.mark.parametrize("series", [infectiousness_series, post_count_series])
+def test_both_series_check_the_grid(series):
+    story = make_story([(0.0, 1.0), (0.5 * 3600, 1.0), (1.5 * 3600, 1.0), (2.5 * 3600, 1.0)])
+    with pytest.raises(EmptyGrid):
+        series(story, [])
+    for grid in ([3.0, 2.0, 1.0], [-1.0, 2.0], [1.0, float("nan")]):
+        with pytest.raises(ValueError):
+            series(story, grid)
 
 
 def test_post_count_series_binning():
@@ -313,6 +335,15 @@ def test_post_count_series_partition():
 def test_simulate_zero_profile_only_seed():
     st_ = simulate_hawkes(lambda h: 0.0, lambda r: 5.0, horizon=86400.0, seed=1)
     assert len(st_.posts) == 1 and st_.posts[0].t == 0.0
+
+
+def test_synthetic_cascades_pinned_digest():
+    # post times and follower counts of a fixed dataset: a change in how the
+    # simulator consumes its RNG stream shows here
+    h = hashlib.sha256()
+    for story in generate_synthetic(2, seed=7).stories:
+        h.update(np.array([[p.t, p.followers] for p in story.posts], dtype=float).tobytes())
+    assert h.hexdigest() == "00f10660056b5f30aaea4968fa7a0cc34410f597d15ad1b41aac7a90958e7926"
 
 
 def test_simulate_deterministic():
