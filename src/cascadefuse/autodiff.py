@@ -326,9 +326,17 @@ def embedding_sequence(E: Tensor, posts, mask: np.ndarray) -> Tensor:
     out_data = weights @ E.data[idx]
 
     def bwd(g):
-        gE = np.zeros_like(E.data)
+        gE = np.zeros(E.data.shape)
         np.add.at(gE, idx, vals[:, None] * g[rows])
-        E._accumulate(gE)
+        if E.grad is None:
+            # the first contribution becomes the gradient itself; a Parameter
+            # also records the rows it touches, so AdaDelta can skip the rest
+            # (sorted unique rows; np.unique would import numpy.ma, +1.7 MB RSS)
+            E.grad = gE
+            if hasattr(E, "grad_rows"):
+                E.grad_rows = np.flatnonzero(np.bincount(idx, minlength=E.data.shape[0]))
+        else:
+            E._accumulate(gE)
 
     return Tensor(out_data, parents=(E,), backward=bwd)
 

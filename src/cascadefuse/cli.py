@@ -180,8 +180,7 @@ def cmd_sweep(args):
     splits = manifest.by_split()
     config = _load_config(args, tau=len(manifest.label_set))
     vocab, scaler, config = _fit_featurizer(splits, config)
-    days = [int(d) for d in args.days.split(",")]
-    rows = mdl.timeframe_sweep(splits, vocab, scaler, days, config,
+    rows = mdl.timeframe_sweep(splits, vocab, scaler, args.days, config,
                                label_set=manifest.label_set)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
@@ -198,6 +197,15 @@ def cmd_import(args):
     dat.save_dataset(manifest, args.out)
     print(f"imported {len(manifest.stories)} stories -> {args.out}")
     return 0
+
+
+def _day_counts(text: str) -> list[int]:
+    """argparse type for --days: a comma list of non-negative integers."""
+    parts = [d.strip() for d in text.split(",")]
+    if not all(d.isdecimal() for d in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated non-negative day counts, got {text!r}")
+    return [int(d) for d in parts]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="time-frame sweep over day counts")
     model_options(p)
-    p.add_argument("--days", default="0,1,2,3,4,5,6")
+    p.add_argument("--days", type=_day_counts, default=list(range(7)))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("import", help="import a public tree-layout dataset")

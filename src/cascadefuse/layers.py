@@ -18,15 +18,24 @@ GRU_FORMS = ("paper", "standard")
 
 
 class Parameter(Tensor):
-    """A trainable tensor carrying its AdaDelta accumulators."""
+    """A trainable tensor carrying its AdaDelta accumulators.
 
-    __slots__ = ("name", "acc_grad_sq", "acc_delta_sq")
+    grad_rows holds the sorted rows of grad that can be nonzero when
+    embedding_sequence wrote the whole gradient, and None otherwise.
+    """
+
+    __slots__ = ("name", "acc_grad_sq", "acc_delta_sq", "grad_rows")
 
     def __init__(self, data, name=""):
         super().__init__(data, requires_grad=True)
         self.name = name
         self.acc_grad_sq = np.zeros_like(self.data)
         self.acc_delta_sq = np.zeros_like(self.data)
+        self.grad_rows = None
+
+    def _accumulate(self, g):
+        self.grad_rows = None
+        super()._accumulate(g)
 
 
 class ParameterSet(dict):
@@ -40,6 +49,7 @@ class ParameterSet(dict):
     def zero_grad(self):
         for p in self.values():
             p.grad = None
+            p.grad_rows = None
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self.items()}
@@ -216,17 +226,35 @@ def cross_entropy(z: Tensor, label: int) -> Tensor:
 
 def adadelta_step(params: ParameterSet, rho: float = 0.95, eps: float = 1e-6):
     """Apply one AdaDelta update to every parameter with a gradient, then
-    zero the gradient buffers."""
+    zero the gradient buffers.
+
+    A parameter whose gradient names its rows (grad_rows) is updated on those
+    rows only, in the dense branch's order; the other rows just decay their
+    accumulators. That is bit-equal to the dense update, which on a zero row
+    computes acc*rho + 0.0 and data + (-0.0).
+    """
     for p in params.values():
         if p.grad is None:
             continue
-        g = p.grad
-        p.acc_grad_sq *= rho
-        p.acc_grad_sq += (1.0 - rho) * g * g
-        delta = -np.sqrt(p.acc_delta_sq + eps) / np.sqrt(p.acc_grad_sq + eps) * g
-        p.acc_delta_sq *= rho
-        p.acc_delta_sq += (1.0 - rho) * delta * delta
-        p.data = p.data + delta
+        rows = p.grad_rows
+        if rows is None:
+            g = p.grad
+            p.acc_grad_sq *= rho
+            p.acc_grad_sq += (1.0 - rho) * g * g
+            delta = -np.sqrt(p.acc_delta_sq + eps) / np.sqrt(p.acc_grad_sq + eps) * g
+            p.acc_delta_sq *= rho
+            p.acc_delta_sq += (1.0 - rho) * delta * delta
+            p.data = p.data + delta
+        else:
+            g = p.grad[rows]
+            p.acc_grad_sq *= rho
+            acc_g = p.acc_grad_sq[rows]
+            acc_g += (1.0 - rho) * g * g
+            p.acc_grad_sq[rows] = acc_g
+            delta = -np.sqrt(p.acc_delta_sq[rows] + eps) / np.sqrt(acc_g + eps) * g
+            p.acc_delta_sq *= rho
+            p.acc_delta_sq[rows] += (1.0 - rho) * delta * delta
+            p.data[rows] += delta
     params.zero_grad()
 
 

@@ -55,6 +55,11 @@ class ModelConfig:
             raise ConfigMismatch(f"unknown GRU form {self.gru_form!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigMismatch(f"dropout {self.dropout!r} outside [0, 1)")
+        for name in ("seq_len", "temporal_len", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigMismatch(f"{name} {getattr(self, name)!r} must be at least 1")
+        if self.vocab_size < 0:  # 0 is legal: tree imports carry no text
+            raise ConfigMismatch(f"vocab_size {self.vocab_size!r} must not be negative")
 
     @property
     def has_temporal(self) -> bool:

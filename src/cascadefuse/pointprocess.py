@@ -254,6 +254,8 @@ def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
     follower count of each event is drawn from follower_sampler(rng).
     Deterministic for a fixed seed.
     """
+    if not 0 < horizon < math.inf:  # NaN too; an infinite horizon never ends
+        raise NonPositiveTime(f"horizon must be positive and finite, got {horizon!r}")
     rng = np.random.default_rng(seed)
     n0 = follower_sampler(rng) if source_followers is None else source_followers
     times = [0.0]

@@ -169,6 +169,22 @@ def test_train_rejects_invalid_model_config(tiny_dataset, tmp_path, capsys, valu
     assert not (tmp_path / "m.npz").exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--seq-len", "0", "error: seq_len 0 must be at least 1"),
+    ("--seq-len", "-2", "error: seq_len -2 must be at least 1"),
+    ("--max-epochs", "0", "error: max_epochs 0 must be at least 1"),
+    ("--max-epochs", "-1", "error: max_epochs -1 must be at least 1"),
+    ("--vocab-size", "-1", "error: vocab_size -1 must not be negative"),
+])
+def test_train_rejects_bad_sizes(tiny_dataset, tmp_path, capsys, option, value, message):
+    # the last of a repeated option wins
+    assert run_command(["train", "--input", str(tiny_dataset), "--out", str(tmp_path / "m"),
+                        "--seq-len", "10", "--max-epochs", "1", option, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_eval_rejects_model_options(tiny_dataset, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_command(["eval", "--input", str(tiny_dataset), "--checkpoint", str(tmp_path / "m"),
@@ -184,6 +200,23 @@ def test_sweep_csv(tiny_dataset, tmp_path):
     rows = list(csv.reader(open(out)))
     assert rows[0] == ["days", "accuracy"]
     assert [r[0] for r in rows[1:]] == ["0", "1"]
+
+
+@pytest.mark.parametrize("days", ["1,x", "", "0,-1"])
+def test_sweep_rejects_bad_days(tiny_dataset, tmp_path, capsys, days):
+    with pytest.raises(SystemExit) as exc:
+        run_command(["sweep", "--input", str(tiny_dataset), "--out", str(tmp_path / "s.csv"),
+                     "--days", days])
+    assert exc.value.code == 2
+    assert "argument --days" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_simulate_rejects_non_positive_horizon(tmp_path, capsys):
+    out = tmp_path / "sim.jsonl"
+    assert run_command(["simulate", "--horizon-days", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: horizon must be positive and finite")
+    assert not out.exists()
 
 
 def test_import_command(tmp_path):

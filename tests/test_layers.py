@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cascadefuse.errors import (
     InvalidClass,
     ShapeMismatch,
 )
+from cascadefuse.features import SparseVec
 from cascadefuse.layers import (
     HiddenSequence,
     Parameter,
@@ -344,6 +347,102 @@ def test_adadelta_two_steps_follow_recurrence():
     assert np.allclose(p.data, d1 + d2, atol=1e-15)
     assert np.allclose(p.acc_grad_sq, Eg2)
     assert np.allclose(p.acc_delta_sq, rho * Ed + (1 - rho) * d2**2)
+
+
+# --- row-sparse adadelta ---
+
+def sparse(indices, values, dim):
+    return SparseVec(np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=float), dim)
+
+
+def embedding_twins(K, D):
+    """Two parameter sets holding the same K x D embedding and D-vector bias."""
+    E0, b0 = rng.normal(size=(K, D)), rng.normal(size=D)
+    twins = ParameterSet(), ParameterSet()
+    for ps in twins:
+        ps.add("embed", E0.copy())
+        ps.add("bias", b0.copy())
+    return twins
+
+
+def embedding_loss(ps, posts, mask, upstream, lookups=()):
+    """A scalar of one story's embedded posts plus the bias, and optional
+    embedding_lookup terms on the same E in the same graph, added first or last."""
+    E = ps["embed"]
+    seq = ad.embedding_sequence(E, posts, mask) + ps["bias"]
+    loss = (seq * Tensor(upstream)).sum()
+    for first, idx, vals, w in lookups:
+        term = (ad.embedding_lookup(E, np.asarray(idx), np.asarray(vals)) * Tensor(w)).sum()
+        loss = term + loss if first else loss + term
+    return loss
+
+
+K, D, T = 12, 3, 4
+EMPTY = sparse([], [], K)
+# each step: posts, mask, lookups on the same E
+STORIES = [
+    # repeated indices within and across posts, an empty post, a padded row
+    ([sparse([0, 2, 2], [1.0, 0.5, -0.3], K), EMPTY, sparse([2, 5], [2.0, 0.7], K),
+      sparse([7], [9.0], K)], [True, True, True, False], ()),
+    # rows 0, 2 and 5 untouched this step, 1 and 3 new
+    ([sparse([1, 3], [0.4, -1.2], K), sparse([3], [0.8], K), EMPTY, EMPTY],
+     [True, True, False, False], ()),
+    # no in-vocabulary term at all: no gradient, no update
+    ([EMPTY] * T, [True, True, True, False], ()),
+    # embedding_lookup on the same E gives the dense update, whether its
+    # backward runs before the scatter (added first) or after it (added last)
+    ([sparse([4, 4, 9], [1.0, 1.0, 0.2], K), EMPTY, EMPTY, EMPTY],
+     [True, True, True, True], [(True, [9, 11], [0.3, -0.6], rng.normal(size=D))]),
+    ([sparse([4, 8], [0.5, 1.5], K), EMPTY, EMPTY, EMPTY],
+     [True, True, True, True], [(False, [6, 4], [2.0, 1.0], rng.normal(size=D))]),
+    ([sparse([0, 11], [0.1, 0.9], K), sparse([0], [3.0], K), EMPTY, EMPTY],
+     [True, True, True, True], ()),
+]
+
+
+def test_row_sparse_adadelta_equals_dense_step():
+    sparse_set, dense_set = embedding_twins(K, D)
+    Es, Ed = sparse_set["embed"], dense_set["embed"]
+    for posts, mask, lookups in STORIES:
+        mask = np.array(mask)
+        upstream = rng.normal(size=(T, D))
+        embedding_loss(sparse_set, posts, mask, upstream, lookups).backward()
+        embedding_loss(dense_set, posts, mask, upstream, lookups).backward()
+        touched = np.unique(np.concatenate([v.indices for v, m in zip(posts, mask) if m]))
+        if not touched.size:
+            assert Es.grad is None and Ed.grad is None
+        elif lookups:
+            assert Es.grad_rows is None
+        else:
+            assert np.array_equal(Es.grad_rows, touched)
+            assert np.all(np.delete(Es.grad, touched, axis=0) == 0)
+            Ed.grad_rows = None  # the twin takes the dense branch
+            assert np.array_equal(Es.grad, Ed.grad)
+        adadelta_step(sparse_set)
+        adadelta_step(dense_set)
+        assert Es.grad is None and Es.grad_rows is None
+        for name in ("embed", "bias"):
+            for what in ("data", "acc_grad_sq", "acc_delta_sq"):
+                assert np.array_equal(getattr(sparse_set[name], what),
+                                      getattr(dense_set[name], what)), (name, what)
+
+
+def test_row_sparse_adadelta_allocates_less_than_one_dense_embedding():
+    # 30 posts of 16 terms touch at most 480 of 5000 rows
+    K5, D5, T5 = 5000, 100, 30
+    ps, _ = embedding_twins(K5, D5)
+    E = ps["embed"]
+    r = np.random.default_rng(2)
+    posts = [sparse(r.integers(0, K5, size=16), r.random(16), K5) for _ in range(T5)]
+    embedding_loss(ps, posts, np.ones(T5, dtype=bool), r.normal(size=(T5, D5))).backward()
+    assert E.grad_rows is not None and E.grad_rows.size <= 480
+    tracemalloc.start()
+    try:
+        adadelta_step(ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < E.data.nbytes
 
 
 # --- checkpoints ---

@@ -8,7 +8,13 @@ from cascadefuse import model
 from cascadefuse.autodiff import Tensor
 from cascadefuse.errors import ConfigMismatch, EmptyDataset, EmptySpace
 from cascadefuse.features import FeatureBundle, SparseVec
-from cascadefuse.layers import HiddenSequence, ParameterSet, cross_entropy, gru_step
+from cascadefuse.layers import (
+    HiddenSequence,
+    ParameterSet,
+    adadelta_step,
+    cross_entropy,
+    gru_step,
+)
 from cascadefuse.model import (
     EvalReport,
     ModelConfig,
@@ -119,6 +125,19 @@ def test_no_cim_allows_unequal_path_sizes():
 def test_cim_requires_equal_path_sizes():
     with pytest.raises(ConfigMismatch):
         ModelConfig(variant="full", **dict(TOY, E_l=8, E_u=4))
+
+
+@pytest.mark.parametrize("values", [
+    {"seq_len": 0}, {"seq_len": -2}, {"temporal_len": 0}, {"max_epochs": 0},
+    {"max_epochs": -1}, {"patience": 0}, {"vocab_size": -1},
+])
+def test_config_rejects_bad_sizes_and_epoch_counts(values):
+    with pytest.raises(ConfigMismatch):
+        ModelConfig(variant="full", **dict(TOY, **values))
+
+
+def test_config_allows_empty_vocabulary():
+    assert ModelConfig(variant="full", **dict(TOY, vocab_size=0)).vocab_size == 0
 
 
 # --- gradient of the composed model ---
@@ -235,6 +254,27 @@ def test_train_trajectory_matches_tape_oracle(monkeypatch, gru_form):
     for k in tape:
         scale = np.max(np.abs(tape[k].data))
         assert np.max(np.abs(fused[k].data - tape[k].data)) <= 1e-10 * scale, k
+
+
+def test_train_row_sparse_step_is_bit_equal_to_dense(monkeypatch):
+    cfg = ModelConfig(variant="full", max_epochs=3, patience=10, seed=5, dropout=0.5,
+                      **{k: v for k, v in TOY.items() if k != "dropout"})
+    data = make_dataset(8)  # posts touch rows 0 and 3-5 of the 8-row embedding
+    row_sparse, h_row_sparse, _ = train(data[:6], data[6:], cfg)
+    sparse_steps = []
+
+    def dense_step(params):
+        sparse_steps.append(params["embed"].grad_rows is not None)
+        params["embed"].grad_rows = None
+        adadelta_step(params)
+
+    monkeypatch.setattr(model, "adadelta_step", dense_step)
+    dense, h_dense, _ = train(data[:6], data[6:], cfg)
+    assert len(sparse_steps) == 18 and all(sparse_steps)
+    assert h_row_sparse.to_dict() == h_dense.to_dict()
+    for k in dense:
+        assert np.array_equal(row_sparse[k].data, dense[k].data), k
+        assert np.array_equal(row_sparse[k].acc_delta_sq, dense[k].acc_delta_sq), k
 
 
 # --- evaluation ---

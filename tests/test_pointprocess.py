@@ -337,6 +337,12 @@ def test_simulate_zero_profile_only_seed():
     assert len(st_.posts) == 1 and st_.posts[0].t == 0.0
 
 
+@pytest.mark.parametrize("horizon", [0.0, -5.0, float("nan"), float("inf")])
+def test_simulate_rejects_non_positive_horizon(horizon):
+    with pytest.raises(NonPositiveTime):
+        simulate_hawkes(lambda h: 0.5, lambda r: r.poisson(1.0), horizon, seed=1)
+
+
 def test_synthetic_cascades_pinned_digest():
     # post times and follower counts of a fixed dataset: a change in how the
     # simulator consumes its RNG stream shows here
