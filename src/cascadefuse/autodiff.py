@@ -109,6 +109,8 @@ class Tensor:
     def __matmul__(self, other):
         other = _as_tensor(other)
         a, b = self.data, other.data
+        if (a.ndim, b.ndim) not in ((1, 2), (2, 2), (2, 1)):
+            raise ShapeMismatch(f"unsupported matmul arity: {a.ndim}-D @ {b.ndim}-D")
         try:
             out_data = a @ b
         except ValueError as e:
@@ -116,23 +118,9 @@ class Tensor:
 
         def bwd(g):
             if self.requires_grad:
-                if a.ndim == 1 and b.ndim == 2:
-                    self._accumulate(g @ b.T)
-                elif a.ndim == 2 and b.ndim == 2:
-                    self._accumulate(g @ b.T)
-                elif a.ndim == 2 and b.ndim == 1:
-                    self._accumulate(np.outer(g, b))
-                else:
-                    raise ShapeMismatch("unsupported matmul arity")
+                self._accumulate(np.outer(g, b) if b.ndim == 1 else g @ b.T)
             if other.requires_grad:
-                if a.ndim == 1 and b.ndim == 2:
-                    other._accumulate(np.outer(a, g))
-                elif a.ndim == 2 and b.ndim == 2:
-                    other._accumulate(a.T @ g)
-                elif a.ndim == 2 and b.ndim == 1:
-                    other._accumulate(a.T @ g)
-                else:
-                    raise ShapeMismatch("unsupported matmul arity")
+                other._accumulate(np.outer(a, g) if a.ndim == 1 else a.T @ g)
 
         return Tensor(out_data, parents=(self, other), backward=bwd)
 

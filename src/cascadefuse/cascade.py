@@ -9,7 +9,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 
-from .errors import EmptyStory, NegativeTime, UnknownLabel
+from .errors import EmptyStory, InvalidValue, NegativeTime, UnknownLabel
 
 BINARY_LABELS = ("true", "fake")
 FOURWAY_LABELS = ("true", "fake", "unverified", "debunking")
@@ -99,8 +99,8 @@ def validate_story(raw: NewsStory, label_set: tuple[str, ...] | None = None) -> 
 
 def truncate_story(story: NewsStory, horizon: float) -> NewsStory:
     """Keep only posts with t <= horizon (seconds). The t=0 post always survives."""
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+    if not horizon >= 0:  # NaN fails too
+        raise InvalidValue("horizon must be non-negative")
     kept = tuple(p for p in story.posts if p.t <= horizon)
     return NewsStory(id=story.id, label=story.label, posts=kept)
 

@@ -22,38 +22,8 @@ from . import data as dat
 from . import features as feat
 from . import model as mdl
 from . import pointprocess as pp
-from .errors import CascadeFuseError
+from .errors import CascadeFuseError, ConfigMismatch
 from .layers import load_checkpoint, save_checkpoint
-
-
-def _load_config(args, tau: int) -> mdl.ModelConfig:
-    fields = {f.name for f in dataclasses.fields(mdl.ModelConfig)}
-    values: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as f:
-            values.update({k: v for k, v in json.load(f).items() if k in fields})
-    # CLI flags override file values
-    for name in ("variant", "seed", "seq_len", "max_epochs", "vocab_size"):
-        v = getattr(args, name, None)
-        if v is not None:
-            values[name] = v
-    values.setdefault("tau", tau)
-    return mdl.ModelConfig(**values)
-
-
-def _fit_featurizer(splits, config: mdl.ModelConfig):
-    """Vocabulary and user scaler fit on the train split; the config takes the
-    vocabulary's actual size."""
-    train_stories = splits.get("train", [])
-    vocab = feat.build_vocabulary(train_stories, K=config.vocab_size)
-    scaler = feat.fit_user_scaler(train_stories)
-    return vocab, scaler, dataclasses.replace(config, vocab_size=vocab.size)
-
-
-def _bundles(splits, vocab, scaler, config: mdl.ModelConfig):
-    bcfg = feat.BundleConfig(seq_len=config.seq_len, temporal_len=config.temporal_len,
-                             variant=config.variant)
-    return feat.build_bundles(splits, vocab, scaler, bcfg)
 
 
 def cmd_validate(args):
@@ -115,12 +85,35 @@ def _load_split(args, manifest):
     return manifest
 
 
-def cmd_train(args):
+def _prepare(args):
+    """Setup of train, ablate and sweep: the config (--config file, then flags;
+    tau and vocab_size as the data fix them) and the featurizer fit on train."""
     manifest = _load_split(args, dat.load_dataset(args.input))
     splits = manifest.by_split()
-    config = _load_config(args, tau=len(manifest.label_set))
-    vocab, scaler, config = _fit_featurizer(splits, config)
-    bundles = _bundles(splits, vocab, scaler, config)
+    fields = {f.name for f in dataclasses.fields(mdl.ModelConfig)}
+    values: dict = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as f:
+            values.update({k: v for k, v in json.load(f).items() if k in fields})
+    # CLI flags override file values
+    for name in ("variant", "seed", "seq_len", "max_epochs", "vocab_size"):
+        v = getattr(args, name)
+        if v is not None:
+            values[name] = v
+    tau = len(manifest.label_set)
+    if values.setdefault("tau", tau) != tau:
+        raise ConfigMismatch(f"{args.config}: tau {values['tau']!r} differs from the "
+                             f"{tau} labels of {args.input}")
+    config = mdl.ModelConfig(**values)
+    train_stories = splits.get("train", [])
+    vocab = feat.build_vocabulary(train_stories, K=config.vocab_size)
+    scaler = feat.fit_user_scaler(train_stories)
+    return manifest, splits, vocab, scaler, dataclasses.replace(config, vocab_size=vocab.size)
+
+
+def cmd_train(args):
+    manifest, splits, vocab, scaler, config = _prepare(args)
+    bundles = feat.build_bundles(splits, vocab, scaler, config)
     params, history, tscaler = mdl.train(bundles.get("train", []), bundles.get("val", []),
                                          config, label_set=manifest.label_set)
     save_checkpoint(args.out, params, manifest={
@@ -139,16 +132,24 @@ def cmd_train(args):
 def cmd_eval(args):
     manifest = _load_split(args, dat.load_dataset(args.input))
     values, meta = load_checkpoint(args.checkpoint)
-    config = mdl.ModelConfig(**meta["config"])
-    vocab = feat.Vocabulary(terms=tuple(meta["vocabulary"]["terms"]),
-                            idf=meta["vocabulary"]["idf"])
-    scaler = feat.UserScaler(**meta["user_scaler"])
+    try:
+        config = mdl.ModelConfig(**meta["config"])
+        vocab = feat.Vocabulary(terms=tuple(meta["vocabulary"]["terms"]),
+                                idf=meta["vocabulary"]["idf"])
+        scaler = feat.UserScaler(**meta["user_scaler"])
+        tscaler = mdl.TemporalScaler(**meta["temporal_scaler"])
+        label_set = tuple(meta["label_set"])
+        if len(label_set) != config.tau:
+            raise ConfigMismatch(f"{len(label_set)} labels but tau {config.tau}")
+        params = mdl.init_params(config)
+        params.load_values(values)
+    except KeyError as e:
+        raise ConfigMismatch(f"checkpoint {args.checkpoint}: missing key {e}") from None
+    except (TypeError, ValueError, CascadeFuseError) as e:
+        raise ConfigMismatch(f"checkpoint {args.checkpoint}: {e}") from None
     test = {"test": manifest.by_split().get("test", [])}
-    params = mdl.init_params(config)
-    params.load_values(values)
-    report = mdl.evaluate(_bundles(test, vocab, scaler, config)["test"], params, config,
-                          label_set=tuple(meta["label_set"]),
-                          scaler=mdl.TemporalScaler(**meta["temporal_scaler"]))
+    report = mdl.evaluate(feat.build_bundles(test, vocab, scaler, config)["test"], params,
+                          config, label_set=label_set, scaler=tscaler)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2)
     print(f"accuracy {report.accuracy:.4f} -> {args.out}")
@@ -156,14 +157,11 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
-    manifest = _load_split(args, dat.load_dataset(args.input))
-    splits = manifest.by_split()
-    base = _load_config(args, tau=len(manifest.label_set))
-    vocab, scaler, base = _fit_featurizer(splits, base)
+    manifest, splits, vocab, scaler, base = _prepare(args)
     out = {}
     for variant in feat.VARIANTS:
         config = dataclasses.replace(base, variant=variant)
-        bundles = _bundles(splits, vocab, scaler, config)
+        bundles = feat.build_bundles(splits, vocab, scaler, config)
         params, _, tscaler = mdl.train(bundles.get("train", []), bundles.get("val", []),
                                        config, label_set=manifest.label_set)
         report = mdl.evaluate(bundles.get("test", []), params, config,
@@ -176,10 +174,7 @@ def cmd_ablate(args):
 
 
 def cmd_sweep(args):
-    manifest = _load_split(args, dat.load_dataset(args.input))
-    splits = manifest.by_split()
-    config = _load_config(args, tau=len(manifest.label_set))
-    vocab, scaler, config = _fit_featurizer(splits, config)
+    manifest, splits, vocab, scaler, config = _prepare(args)
     rows = mdl.timeframe_sweep(splits, vocab, scaler, args.days, config,
                                label_set=manifest.label_set)
     with open(args.out, "w", newline="", encoding="utf-8") as f:

@@ -5,6 +5,10 @@ class CascadeFuseError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidValue(CascadeFuseError, ValueError):
+    """A value outside its domain, such as a non-finite kernel constant."""
+
+
 # --- cascade validation ---
 
 class EmptyStory(CascadeFuseError):

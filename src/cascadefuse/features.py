@@ -7,11 +7,12 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .cascade import NewsStory, UserProfile
-from .errors import ConfigMismatch, EmptyCorpus
+from .cascade import PROFILE_COUNT_FIELDS, PROFILE_FLAG_FIELDS, NewsStory, UserProfile
+from .errors import ConfigMismatch, EmptyCorpus, InvalidValue
 from .pointprocess import (
     KernelParams,
     DEFAULT_PARAMS,
@@ -25,6 +26,7 @@ WORD_RE = re.compile(r"[\w']+", re.UNICODE)
 URL_TOKEN = "<url>"
 
 VARIANTS = ("full", "no_cim", "no_time", "freq")
+USER_DIM = len(PROFILE_COUNT_FIELDS + PROFILE_FLAG_FIELDS)  # width of a user vector
 
 
 def _is_han(ch: str) -> bool:
@@ -91,7 +93,7 @@ class Vocabulary:
     def __post_init__(self):
         object.__setattr__(self, "idf", np.asarray(self.idf, dtype=float))
         if len(self.terms) != len(self.idf):
-            raise ValueError("terms and idf lengths differ")
+            raise InvalidValue("terms and idf lengths differ")
 
     @property
     def size(self) -> int:
@@ -157,7 +159,7 @@ def vectorize_post(tokens: list[str], vocab: Vocabulary) -> SparseVec:
 
 @dataclass(frozen=True)
 class UserScaler:
-    """Per-feature standardization of the six count features; flags pass through."""
+    """Per-feature standardization of the profile counts; flags pass through."""
 
     means: np.ndarray
     stds: np.ndarray
@@ -170,7 +172,8 @@ class UserScaler:
 def fit_user_scaler(corpus: list[NewsStory]) -> UserScaler:
     if not corpus:
         raise EmptyCorpus("cannot fit a scaler on an empty corpus")
-    rows = np.array([p.user.as_tuple()[:6] for s in corpus for p in s.posts], dtype=float)
+    n = len(PROFILE_COUNT_FIELDS)
+    rows = np.array([p.user.as_tuple()[:n] for s in corpus for p in s.posts], dtype=float)
     means = rows.mean(axis=0)
     stds = rows.std(axis=0)
     stds[stds == 0] = 1.0
@@ -178,22 +181,27 @@ def fit_user_scaler(corpus: list[NewsStory]) -> UserScaler:
 
 
 def user_vector(profile: UserProfile, scaler: UserScaler) -> np.ndarray:
-    raw = np.array(profile.as_tuple(), dtype=float)
-    out = raw.copy()
-    out[:6] = (raw[:6] - scaler.means) / scaler.stds
-    return out
+    raw = np.array(profile.as_tuple(), dtype=float)  # a fresh array, scaled in place
+    n = len(PROFILE_COUNT_FIELDS)
+    raw[:n] = (raw[:n] - scaler.means) / scaler.stds
+    return raw
 
 
 @dataclass(frozen=True)
 class BundleConfig:
+    """The shape of a story's streams; model.ModelConfig extends it."""
+
     seq_len: int = 30          # posts fed to the linguistic/user GRUs
     temporal_len: int = 47     # hourly infectiousness points
     variant: str = "full"
-    kernel: KernelParams = DEFAULT_PARAMS
+    kernel: ClassVar[KernelParams] = DEFAULT_PARAMS  # fixed; not stored in checkpoints
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigMismatch(f"unknown variant {self.variant!r}")
+        for name in ("seq_len", "temporal_len"):
+            if getattr(self, name) < 1:
+                raise ConfigMismatch(f"{name} {getattr(self, name)!r} must be at least 1")
 
     def grid(self) -> np.ndarray:
         return default_grid(self.temporal_len)
@@ -204,7 +212,7 @@ class FeatureBundle:
     """Featurized story: linguistic sequence, user sequence, temporal series."""
 
     linguistic: tuple[SparseVec, ...]
-    users: np.ndarray            # (seq_len, 8)
+    users: np.ndarray            # (seq_len, USER_DIM)
     mask: np.ndarray             # (seq_len,) bool, True at real posts
     temporal: np.ndarray | None  # (temporal_len,) or None for the no_time variant
     label: str
@@ -219,7 +227,7 @@ def build_bundle(story: NewsStory, vocab: Vocabulary, scaler: UserScaler,
     empty = SparseVec(np.empty(0, dtype=np.int64), np.empty(0), vocab.size)
     linguistic = tuple(vectorize_post(tokenize(p.text), vocab) for p in posts) \
         + (empty,) * (T - n_real)
-    users = np.zeros((T, 8))
+    users = np.zeros((T, USER_DIM))
     for i, p in enumerate(posts):
         users[i] = user_vector(p.user, scaler)
     mask = np.zeros(T, dtype=bool)

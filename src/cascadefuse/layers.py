@@ -55,6 +55,11 @@ class ParameterSet(dict):
         return {k: p.data.copy() for k, p in self.items()}
 
     def load_values(self, values: dict[str, np.ndarray]):
+        got = {k: v.shape for k, v in values.items()}
+        want = {k: p.data.shape for k, p in self.items()}
+        if got != want:
+            bad = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+            raise ConfigMismatch(f"parameters {bad} missing, unexpected or of another shape")
         for k, v in values.items():
             self[k].data = v.copy()
 
@@ -86,7 +91,7 @@ def gru_step(x: Tensor, h_prev: Tensor, U_z, W_z, U_r, W_r, U_h, W_h,
     elif form == "standard":
         f = ad.tanh(x @ U_h + (r * h_prev) @ W_h)
     else:
-        raise ValueError(f"unknown GRU form {form!r}")
+        raise ConfigMismatch(f"unknown GRU form {form!r}")
     return (1.0 - z) * h_prev + z * f
 
 
@@ -258,7 +263,7 @@ def adadelta_step(params: ParameterSet, rho: float = 0.95, eps: float = 1e-6):
     params.zero_grad()
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, params: ParameterSet, manifest: dict | None = None):
@@ -278,7 +283,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     path = str(path)
     base = path[:-4] if path.endswith(".npz") else path
     with open(base + ".json", encoding="utf-8") as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise ConfigMismatch(f"checkpoint {base}.json is not valid JSON: {e}") from None
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ConfigMismatch(f"unsupported checkpoint version {meta.get('version')!r}"
                              f" (expected {CHECKPOINT_VERSION})")

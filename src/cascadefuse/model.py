@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigMismatch, EmptyDataset, EmptySpace
-from .features import VARIANTS, BundleConfig, FeatureBundle, build_bundles
+from .features import USER_DIM, BundleConfig, FeatureBundle, build_bundles
 from .layers import (
     GRU_FORMS,
     HiddenSequence,
@@ -27,13 +27,11 @@ from .layers import (
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    variant: str = "full"
+class ModelConfig(BundleConfig):
+    """A BundleConfig plus the network's sizes and training settings."""
+
     vocab_size: int = 5000
     embed_dim: int = 100          # linguistic embedding dimension
-    user_dim: int = 8
-    seq_len: int = 30             # linguistic/user sequence length
-    temporal_len: int = 47
     E_l: int = 32
     E_u: int = 32
     E_s: int = 32
@@ -47,15 +45,14 @@ class ModelConfig:
     gru_form: str = "paper"
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigMismatch(f"unknown variant {self.variant!r}")
+        super().__post_init__()
         if self.has_cim and self.E_l != self.E_u:
             raise ConfigMismatch("CIM requires E_l == E_u")
         if self.gru_form not in GRU_FORMS:
             raise ConfigMismatch(f"unknown GRU form {self.gru_form!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigMismatch(f"dropout {self.dropout!r} outside [0, 1)")
-        for name in ("seq_len", "temporal_len", "max_epochs", "patience"):
+        for name in ("max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigMismatch(f"{name} {getattr(self, name)!r} must be at least 1")
         if self.vocab_size < 0:  # 0 is legal: tree imports carry no text
@@ -109,7 +106,7 @@ def init_params(config: ModelConfig, seed: int | None = None) -> ParameterSet:
         p.add(f"{prefix}_fcb", np.zeros(out_dim))
 
     add_gru("ling", config.embed_dim, config.E_l)
-    add_gru("user", config.user_dim, config.E_u)
+    add_gru("user", USER_DIM, config.E_u)
     if config.has_temporal:
         add_gru("temp", 1, config.E_s)
 
@@ -334,9 +331,7 @@ def timeframe_sweep(stories_by_split, vocab, user_scaler, days: list[int],
             cfg = replace(config, variant="no_time")
         else:
             cfg = replace(config, temporal_len=24 * d - 1)
-        bcfg = BundleConfig(seq_len=cfg.seq_len, temporal_len=cfg.temporal_len,
-                            variant=cfg.variant)
-        bundles = build_bundles(stories_by_split, vocab, user_scaler, bcfg)
+        bundles = build_bundles(stories_by_split, vocab, user_scaler, cfg)
         params, _, scaler = train(bundles.get("train", []), bundles.get("val", []), cfg,
                                   label_set)
         report = evaluate(bundles.get("test", []), params, cfg, label_set, scaler=scaler)

@@ -19,6 +19,7 @@ from .errors import (
     EmptyGrid,
     ExplodingCascade,
     InvalidInterval,
+    InvalidValue,
     NonPositiveDelay,
     NonPositiveTime,
     NonPositiveWindow,
@@ -42,8 +43,8 @@ class KernelParams:
     theta: float = DEFAULT_THETA
 
     def __post_init__(self):
-        if self.c <= 0 or self.s0 <= 0 or self.theta <= 0:
-            raise ValueError("kernel parameters must all be positive")
+        if not all(0 < v < math.inf for v in (self.c, self.s0, self.theta)):  # NaN fails too
+            raise InvalidValue(f"kernel parameters must all be positive and finite: {self!r}")
 
 
 DEFAULT_PARAMS = KernelParams()
@@ -55,8 +56,8 @@ class IntensityValue:
     at_time: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("intensity must be non-negative")
+        if not self.lam >= 0:  # NaN fails too
+            raise InvalidValue("intensity must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,13 @@ class InfectiousnessSeries:
 
     def __post_init__(self):
         if len(self.grid) != len(self.values):
-            raise ValueError("grid and values must have equal length")
+            raise InvalidValue("grid and values must have equal length")
         if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("infectiousness values must be finite")
+            raise InvalidValue("infectiousness values must be finite")
         if any(v < 0 for v in self.values):
-            raise ValueError("infectiousness values must be non-negative")
+            raise InvalidValue("infectiousness values must be non-negative")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
+            raise InvalidValue("grid must be strictly increasing")
 
 
 def default_grid(n_hours: int = 47) -> np.ndarray:
@@ -88,7 +89,7 @@ def _grid(grid_hours) -> np.ndarray:
     if grid.size == 0:
         raise EmptyGrid("grid must be non-empty")
     if not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
-        raise ValueError("grid must be strictly increasing and positive")
+        raise InvalidValue("grid must be strictly increasing and positive")
     return grid
 
 
@@ -183,8 +184,8 @@ def intensity(story: NewsStory, s_h: float, t: float,
     """Cascade intensity lambda_t = s_h * sum_i n_i * phi(t - t_i) over t_i <= t."""
     if t < 0:
         raise TimeBeforeOrigin(f"t must be >= 0, got {t}")
-    if s_h < 0:
-        raise ValueError("s_h must be non-negative")
+    if not s_h >= 0:  # NaN fails too
+        raise InvalidValue("s_h must be non-negative")
     return IntensityValue(lam=s_h * _excitation(*_posts_arrays(story, t), t, params), at_time=t)
 
 
@@ -192,7 +193,7 @@ def _estimate(times, followers, t, params: KernelParams):
     """Numerator and denominator of the estimate at each window end of t
     (seconds), in one (G, n) pass; a post after a window end adds 0 to both."""
     if len(times) == 0 or times[0] != 0:
-        raise ValueError("story must contain its source post at t = 0")
+        raise InvalidValue("story must contain its source post at t = 0")
     t = t[:, None]
     reshares = times[1:]
     num = np.sum(np.where(reshares <= t, _triangle(t - reshares, t), 0.0), axis=1)

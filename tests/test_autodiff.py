@@ -212,6 +212,17 @@ def test_shape_mismatch_matmul():
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.ones(3), np.ones(3)),
+    (np.ones((2, 2, 3)), np.ones((3, 2))),
+    (np.ones((2, 3)), np.ones((2, 3, 4))),
+    (np.float64(2.0), np.ones((2, 2))),
+])
+def test_matmul_rejects_unsupported_arity_in_the_forward(a, b):
+    with pytest.raises(ShapeMismatch, match="unsupported matmul arity"):
+        Tensor(a, requires_grad=True) @ Tensor(b, requires_grad=True)
+
+
 def test_grad_accumulates_over_shared_subexpression():
     x = Tensor(np.array([2.0]), requires_grad=True)
     y = x * x + x * 3.0

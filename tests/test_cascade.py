@@ -9,7 +9,7 @@ from cascadefuse.cascade import (
     truncate_story,
     validate_story,
 )
-from cascadefuse.errors import EmptyStory, NegativeTime, UnknownLabel
+from cascadefuse.errors import EmptyStory, InvalidValue, NegativeTime, UnknownLabel
 
 
 def story(times, label="fake", sid="s1"):
@@ -67,6 +67,12 @@ def test_truncate_threshold():
 def test_truncate_noop_beyond_max():
     s = validate_story(story([0, 10, 20]))
     assert truncate_story(s, 100) == s
+
+
+@pytest.mark.parametrize("horizon", [-1.0, float("nan")])
+def test_truncate_rejects_negative_or_nan_horizon(horizon):
+    with pytest.raises(InvalidValue):
+        truncate_story(validate_story(story([0, 10])), horizon)
 
 
 def test_truncate_zero_horizon_keeps_source():

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -135,6 +136,101 @@ def test_eval_rejects_checkpoint_of_another_version(tiny_dataset, tmp_path, caps
     assert run_command(["eval", "--input", str(tiny_dataset), "--checkpoint",
                         str(tmp_path / "old"), "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err.startswith("error: unsupported checkpoint version 1")
+
+
+@pytest.fixture(scope="module")
+def trained(tiny_dataset, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("ckpt") / "model"
+    assert run_command(["train", "--input", str(tiny_dataset), "--out", str(ckpt),
+                        "--max-epochs", "1", "--seq-len", "5"]) == 0
+    return ckpt
+
+
+def copy_checkpoint(src, dst, edit):
+    """Copy a checkpoint to dst, passing its manifest through edit()."""
+    shutil.copy(str(src) + ".npz", str(dst) + ".npz")
+    meta = json.load(open(str(src) + ".json"))
+    edit(meta)
+    with open(str(dst) + ".json", "w") as f:
+        json.dump(meta, f)
+    return dst
+
+
+def test_eval_rejects_version_2_checkpoint(tiny_dataset, trained, tmp_path, capsys):
+    # version 2 stored user_dim in the config
+    def as_version_2(meta):
+        meta["version"] = 2
+        meta["config"]["user_dim"] = 8
+
+    ckpt = copy_checkpoint(trained, tmp_path / "v2", as_version_2)
+    assert run_command(["eval", "--input", str(tiny_dataset), "--checkpoint", str(ckpt),
+                        "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unsupported checkpoint version 2") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("vocabulary"), "missing key 'vocabulary'"),
+    (lambda m: m["config"].update(user_dim=8), "unexpected keyword argument 'user_dim'"),
+    (lambda m: m["vocabulary"]["idf"].pop(), "terms and idf lengths differ"),
+    (lambda m: m["config"].update(variant="bogus"), "unknown variant 'bogus'"),
+    (lambda m: m["label_set"].append("unverified"), "3 labels but tau 2"),
+])
+def test_eval_rejects_malformed_manifest(tiny_dataset, trained, tmp_path, capsys,
+                                         edit, message):
+    ckpt = copy_checkpoint(trained, tmp_path / "bad", edit)
+    report = tmp_path / "r.json"
+    assert run_command(["eval", "--input", str(tiny_dataset), "--checkpoint", str(ckpt),
+                        "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}: ") and err.count("\n") == 1
+    assert message in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda v: v.pop("f2_W"),
+    lambda v: v.update(extra=np.zeros(2)),
+    lambda v: v.update(f2_W=v["f2_W"][:, :-1]),
+])
+def test_eval_rejects_parameters_that_do_not_fit_the_config(tiny_dataset, trained, tmp_path,
+                                                           capsys, edit):
+    # a missing parameter would otherwise keep its fresh random initialisation
+    with np.load(str(trained) + ".npz") as npz:
+        values = dict(npz)
+    edit(values)
+    np.savez(tmp_path / "bad.npz", **values)
+    shutil.copy(str(trained) + ".json", tmp_path / "bad.json")
+    report = tmp_path / "r.json"
+    assert run_command(["eval", "--input", str(tiny_dataset), "--checkpoint",
+                        str(tmp_path / "bad"), "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {tmp_path / 'bad'}: parameters [")
+    assert err.count("\n") == 1 and not report.exists()
+
+
+def test_eval_rejects_manifest_that_is_not_json(tiny_dataset, trained, tmp_path, capsys):
+    shutil.copy(str(trained) + ".npz", tmp_path / "bad.npz")
+    (tmp_path / "bad.json").write_text('{"version": 3, "config": {')
+    assert run_command(["eval", "--input", str(tiny_dataset), "--checkpoint",
+                        str(tmp_path / "bad"), "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {tmp_path / 'bad'}.json is not valid JSON")
+    assert err.count("\n") == 1
+
+
+def test_train_rejects_config_tau_that_differs_from_the_labels(tiny_dataset, tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau": 3}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_command(["train", "--input", str(tiny_dataset), "--out", str(out / "m"),
+                        "--config", str(cfg), "--max-epochs", "1", "--seq-len", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: tau 3 differs from the 2 labels")
+    assert err.count("\n") == 1
+    assert not list(out.iterdir())
 
 
 def test_train_rejects_unknown_variant(tiny_dataset, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,13 +9,15 @@ from hypothesis import given, strategies as st
 from cascadefuse.cascade import NewsStory, Post, UserProfile
 from cascadefuse.cli import run_command
 from cascadefuse.data import generate_synthetic, save_dataset, split_dataset
-from cascadefuse.errors import EmptyCorpus
+from cascadefuse.errors import ConfigMismatch, EmptyCorpus
 from cascadefuse.features import (
     URL_TOKEN,
+    USER_DIM,
     BundleConfig,
     UserScaler,
     Vocabulary,
     build_bundle,
+    build_bundles,
     build_vocabulary,
     fit_user_scaler,
     tokenize,
@@ -22,6 +25,8 @@ from cascadefuse.features import (
     vectorize_post,
 )
 from cascadefuse.layers import load_checkpoint
+from cascadefuse.model import ModelConfig
+from cascadefuse.pointprocess import DEFAULT_PARAMS
 
 
 def story_of_texts(texts, label="true", sid="s", t_step=10.0, followers=5.0):
@@ -180,6 +185,32 @@ def test_bundle_no_time_variant_lacks_temporal():
     scaler = fit_user_scaler([s])
     b = build_bundle(s, vocab, scaler, BundleConfig(seq_len=5, temporal_len=3, variant="no_time"))
     assert b.temporal is None
+
+
+@pytest.mark.parametrize("values", [{"seq_len": 0}, {"seq_len": -1}, {"temporal_len": 0}])
+def test_bundle_config_rejects_sizes_below_one(values):
+    with pytest.raises(ConfigMismatch, match="must be at least 1"):
+        BundleConfig(**values)
+
+
+def test_bundle_config_kernel_is_a_constant_not_a_field():
+    assert "kernel" not in {f.name for f in dataclasses.fields(BundleConfig)}
+    assert BundleConfig().kernel is DEFAULT_PARAMS
+    assert "kernel" not in dataclasses.asdict(ModelConfig())
+
+
+def test_build_bundles_accepts_a_model_config():
+    s = story_of_texts(["a b", "b c"], t_step=600.0)
+    vocab = build_vocabulary([s], K=5)
+    scaler = fit_user_scaler([s])
+    cfg = ModelConfig(seq_len=5, temporal_len=3, variant="freq", vocab_size=vocab.size)
+    (got,) = build_bundles({"train": [s]}, vocab, scaler, cfg)["train"]
+    want = build_bundle(s, vocab, scaler, BundleConfig(seq_len=5, temporal_len=3,
+                                                       variant="freq"))
+    assert got.users.shape == (5, USER_DIM)
+    assert np.array_equal(got.users, want.users)
+    assert np.array_equal(got.temporal, want.temporal)
+    assert np.array_equal(got.mask, want.mask)
 
 
 def test_bundle_deterministic():

@@ -209,6 +209,12 @@ def test_gru_sequence_rejects_unknown_form_and_shapes():
         gru_sequence(Tensor(np.zeros((2, 4))), np.ones(2, dtype=bool), *w)
 
 
+def test_gru_step_rejects_unknown_form():
+    w = gru_args(make_gru_weights(3, 2))
+    with pytest.raises(ConfigMismatch, match="unknown GRU form 'bogus'"):
+        gru_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)), *w, form="bogus")
+
+
 def test_gru_sequence_is_one_tape_node():
     w = [Parameter(v.data) for v in gru_args(make_gru_weights(3, 2))]
     seq = gru_sequence(Tensor(rng.normal(size=(6, 3))), np.ones(6, dtype=bool), *w)
@@ -458,3 +464,17 @@ def test_checkpoint_roundtrip(tmp_path):
     assert meta["shapes"]["a"] == [3, 2]
     for k in ps:
         assert np.array_equal(values[k], ps[k].data)
+
+
+def test_load_values_requires_the_same_names_and_shapes():
+    ps = ParameterSet()
+    ps.add("a", np.zeros((3, 2)))
+    ps.add("b", np.zeros(4))
+    for values in ({"a": np.ones((3, 2))},
+                   {"a": np.ones((3, 2)), "b": np.ones(4), "c": np.ones(1)},
+                   {"a": np.ones((2, 3)), "b": np.ones(4)}):
+        with pytest.raises(ConfigMismatch, match="missing, unexpected or of another shape"):
+            ps.load_values(values)
+    assert not ps["a"].data.any()
+    ps.load_values({"a": np.ones((3, 2)), "b": np.ones(4)})
+    assert ps["a"].data.all() and ps["b"].data.all()

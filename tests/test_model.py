@@ -7,7 +7,7 @@ from cascadefuse import autodiff as ad
 from cascadefuse import model
 from cascadefuse.autodiff import Tensor
 from cascadefuse.errors import ConfigMismatch, EmptyDataset, EmptySpace
-from cascadefuse.features import FeatureBundle, SparseVec
+from cascadefuse.features import USER_DIM, FeatureBundle, SparseVec
 from cascadefuse.layers import (
     HiddenSequence,
     ParameterSet,
@@ -134,6 +134,14 @@ def test_cim_requires_equal_path_sizes():
 def test_config_rejects_bad_sizes_and_epoch_counts(values):
     with pytest.raises(ConfigMismatch):
         ModelConfig(variant="full", **dict(TOY, **values))
+
+
+def test_user_weights_take_their_width_from_the_profile():
+    cfg = ModelConfig(variant="full", **TOY)
+    params = init_params(cfg)
+    for gate in ("z", "r", "h"):
+        assert params[f"user_U{gate}"].data.shape == (USER_DIM, cfg.E_u)
+    assert not hasattr(cfg, "user_dim")
 
 
 def test_config_allows_empty_vocabulary():

@@ -10,7 +10,9 @@ from cascadefuse.cascade import NewsStory, Post
 from cascadefuse.data import generate_synthetic
 from cascadefuse.errors import (
     EmptyGrid,
+    CascadeFuseError,
     InvalidInterval,
+    InvalidValue,
     NonPositiveDelay,
     NonPositiveTime,
     NonPositiveWindow,
@@ -293,6 +295,20 @@ def test_series_matches_pointwise_estimates():
         series = infectiousness_series(story)
         pointwise = [estimate_infectiousness(story, h * 3600.0) for h in default_grid()]
         np.testing.assert_allclose(series.values, pointwise, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["c", "s0", "theta"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_kernel_params_must_be_positive_and_finite(name, bad):
+    with pytest.raises(CascadeFuseError, match="positive and finite") as exc:
+        KernelParams(**{name: bad})
+    assert isinstance(exc.value, ValueError)  # InvalidValue is both
+
+
+@pytest.mark.parametrize("s_h", [-1.0, float("nan")])
+def test_intensity_rejects_negative_or_nan_rate(s_h):
+    with pytest.raises(InvalidValue):
+        intensity(make_story([(0.0, 1.0)]), s_h, 10.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
