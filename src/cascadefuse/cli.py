@@ -85,16 +85,27 @@ def _load_split(args, manifest):
     return manifest
 
 
+def _read_config(path) -> dict:
+    """A --config file: one JSON object whose keys are ModelConfig fields."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            values = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise ConfigMismatch(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(values, dict):
+        raise ConfigMismatch(f"{path}: expected a JSON object, got {type(values).__name__}")
+    unknown = sorted(values.keys() - {f.name for f in dataclasses.fields(mdl.ModelConfig)})
+    if unknown:
+        raise ConfigMismatch(f"{path}: unknown config fields {unknown}")
+    return values
+
+
 def _prepare(args):
     """Setup of train, ablate and sweep: the config (--config file, then flags;
     tau and vocab_size as the data fix them) and the featurizer fit on train."""
     manifest = _load_split(args, dat.load_dataset(args.input))
     splits = manifest.by_split()
-    fields = {f.name for f in dataclasses.fields(mdl.ModelConfig)}
-    values: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            values.update({k: v for k, v in json.load(f).items() if k in fields})
+    values = _read_config(args.config) if args.config else {}
     # CLI flags override file values
     for name in ("variant", "seed", "seq_len", "max_epochs", "vocab_size"):
         v = getattr(args, name)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 import re
 import unicodedata
 from collections import Counter
@@ -187,6 +189,9 @@ def user_vector(profile: UserProfile, scaler: UserScaler) -> np.ndarray:
     return raw
 
 
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}  # by annotation
+
+
 @dataclass(frozen=True)
 class BundleConfig:
     """The shape of a story's streams; model.ModelConfig extends it."""
@@ -197,6 +202,14 @@ class BundleConfig:
     kernel: ClassVar[KernelParams] = DEFAULT_PARAMS  # fixed; not stored in checkpoints
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):  # ModelConfig's fields too
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+                raise ConfigMismatch(f"{f.name} {value!r} is not of type {f.type}")
+            if kind == "float" and not math.isfinite(value):
+                raise ConfigMismatch(f"{f.name} {value!r} is not finite")
         if self.variant not in VARIANTS:
             raise ConfigMismatch(f"unknown variant {self.variant!r}")
         for name in ("seq_len", "temporal_len"):

@@ -3,6 +3,7 @@ FC, CIM attention, cross-entropy, and the AdaDelta update."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -103,89 +104,172 @@ class HiddenSequence:
     mask: np.ndarray     # (T,) bool
 
 
-def gru_sequence(X: Tensor, mask: np.ndarray, U_z, W_z, U_r, W_r, U_h, W_h,
-                 form: str = "paper") -> HiddenSequence:
-    """gru_step over the real rows of a (T, D) input, recorded as one tape node
-    whose backward is hand-written backpropagation through time.
+def gru_lockstep(paths, form: str = "paper") -> list[HiddenSequence]:
+    """gru_step over the real rows of several paths, one HiddenSequence each.
 
+    A path is an (X, mask, weights) triple: a (T, D) input, its (T,) mask and
+    gru_step's six weights. Paths of one hidden width step together: their
+    carried states are stacked, and each step makes one batched matmul per gate
+    group over the paths that still have real steps. Each such group is one
+    tape node whose backward is hand-written backpropagation through time.
     Padded rows emit zero states and do not advance the carried state.
     """
     if form not in GRU_FORMS:
         raise ConfigMismatch(f"unknown GRU form {form!r}")
-    mask = np.asarray(mask, dtype=bool)
-    x = X.data
-    if x.shape != (mask.size, U_z.data.shape[0]):
-        raise ShapeMismatch(f"gru_sequence: input {x.shape} vs mask {mask.shape} "
-                            f"and weight {U_z.data.shape}")
-    real = np.flatnonzero(mask)
-    n, E = real.size, U_z.data.shape[1]
-    states = np.zeros((mask.size, E))
-    if n == 0:
-        return HiddenSequence(states=Tensor(states), mask=mask)
-    paper = form == "paper"
-    # z and r share one matmul: column blocks [:E] are z, [E:] are r
-    U_zr = np.concatenate([U_z.data, U_r.data], axis=1)
-    W_zr = np.concatenate([W_z.data, W_r.data], axis=1)
-    Wh = W_h.data
-    Xr = x[real]
-    P_zr, P_h = Xr @ U_zr, Xr @ U_h.data
-    H = np.zeros((n + 1, E))     # H[k] is the state entering real step k
-    ZR = np.empty((n, 2 * E))
-    F = np.empty((n, E))         # candidate
-    A = np.empty((n, E))         # paper: r @ W_h; standard: r * h
-    for k in range(n):
-        h = H[k]
-        zr = ZR[k] = 1.0 / (1.0 + np.exp(-(P_zr[k] + h @ W_zr)))
-        z, r = zr[:E], zr[E:]
-        if paper:
-            a = A[k] = r @ Wh
-            f = F[k] = np.tanh(P_h[k] + h * a)
+    masks = [np.asarray(mask, dtype=bool) for _, mask, _ in paths]
+    reals = [np.flatnonzero(mask) for mask in masks]
+    states: list = [None] * len(paths)
+    groups: dict[int, list[int]] = {}
+    for i, ((X, _, weights), mask) in enumerate(zip(paths, masks)):
+        D, E = weights[0].data.shape
+        if X.data.shape != (mask.size, D):
+            raise ShapeMismatch(f"GRU path {i}: input {X.data.shape} vs mask {mask.shape} "
+                                f"and weight {weights[0].data.shape}")
+        if reals[i].size:
+            groups.setdefault(E, []).append(i)
         else:
-            a = A[k] = r * h
-            f = F[k] = np.tanh(P_h[k] + a @ Wh)
-        H[k + 1] = (1.0 - z) * h + z * f
-    states[real] = H[1:]
-    weights = (U_z, W_z, U_r, W_r, U_h, W_h)
+            states[i] = Tensor(np.zeros((mask.size, E)))
+    for group in groups.values():
+        group.sort(key=lambda i: -reals[i].size)  # the paths still stepping are a prefix
+        outs = _gru_group([paths[i][0] for i in group], [reals[i] for i in group],
+                          [tuple(paths[i][2]) for i in group], form == "paper")
+        for i, out in zip(group, outs):
+            states[i] = out
+    return [HiddenSequence(states=s, mask=mask) for s, mask in zip(states, masks)]
+
+
+def _gru_group(Xs, reals, weights, paper: bool) -> list[Tensor]:
+    """The states of paths of one hidden width, longest first; see gru_lockstep.
+
+    A one-path group returns its tape node. Otherwise the node's rows stack the
+    paths' states, each path reads its own rows, and a path whose rows get no
+    gradient passes none to its input and weights.
+    """
+    P, E = len(Xs), weights[0][0].data.shape[1]
+    steps = [real.size for real in reals]
+    n = steps[0]
+    # phases: in steps lo..hi-1 the first a paths still step
+    bounds = [0] + steps[::-1]
+    phases = [(P - j, lo, hi) for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+    Xr = [X.data[real] for X, real in zip(Xs, reals)]
+    # z and r share one matmul: column blocks [:E] are z, [E:] are r
+    U_zr = [np.concatenate([w[0].data, w[2].data], axis=1) for w in weights]
+    W_zr = np.array([np.concatenate([w[1].data, w[3].data], axis=1) for w in weights])
+    Wh = np.array([w[5].data for w in weights])
+    # step-major arrays: [k, p] holds path p's real step k as one (1, width) row,
+    # so that np.matmul steps all paths at once; ops write in place (out=)
+    nP_zr, P_h = np.zeros((n, P, 1, 2 * E)), np.zeros((n, P, 1, E))
+    for p, (x, m, w) in enumerate(zip(Xr, steps, weights)):
+        nP_zr[:m, p, 0], P_h[:m, p, 0] = -(x @ U_zr[p]), x @ w[4].data
+    H = np.zeros((n + 1, P, 1, E))  # H[k, p] is the state entering path p's real step k
+    ZR = np.zeros((n, P, 1, 2 * E))
+    F = np.zeros((n, P, 1, E))      # candidate
+    A = np.zeros((n, P, 1, E))      # paper: r @ W_h; standard: r * h
+    Z, R = ZR[..., :E], ZR[..., E:]
+    for a, lo, hi in phases:
+        live = slice(None, a) if a > 1 else 0  # a lone path steps as plain 2-D rows
+        W_zr_a, Wh_a = W_zr[live], Wh[live]
+        views = (X[lo:hi, live] for X in (H[:-1], H[1:], ZR, Z, R, F, A, nP_zr, P_h))
+        for h, h_next, zr, z, r, f, ra, nq_zr, q_h in zip(*views):
+            # zr = 1 / (1 + exp(-(P_zr + h @ W_zr))), as -(p + q) == -p - q exactly
+            np.matmul(h, W_zr_a, out=zr)
+            np.subtract(nq_zr, zr, out=zr)
+            np.exp(zr, out=zr)
+            zr += 1.0
+            np.divide(1.0, zr, out=zr)
+            if paper:
+                np.matmul(r, Wh_a, out=ra)
+                np.multiply(h, ra, out=f)
+            else:
+                np.multiply(r, h, out=ra)
+                np.matmul(ra, Wh_a, out=f)
+            f += q_h
+            np.tanh(f, out=f)
+            np.subtract(1.0, z, out=h_next)  # h_next = (1 - z) * h + z * f
+            h_next *= h
+            h_next += z * f
+    offsets = list(itertools.accumulate((X.data.shape[0] for X in Xs), initial=0))
+    data = np.zeros((offsets[-1], E))
+    for p, (real, m) in enumerate(zip(reals, steps)):
+        data[offsets[p] + real] = H[1:m + 1, p, 0]
+    read = [P == 1] * P     # paths whose rows reached the backward
 
     def bwd(g):
-        G = g[real]
-        dP_zr = np.empty((n, 2 * E))
-        dP_h = np.empty((n, E))
-        dA = np.empty((n, E))        # paper only: gradient of r @ W_h
-        W_zr_T, Wh_T = W_zr.T, Wh.T
-        dh = np.zeros(E)
-        for k in range(n - 1, -1, -1):
-            dh = dh + G[k]
-            h, z, r, f = H[k], ZR[k, :E], ZR[k, E:], F[k]
-            dp_h = dP_h[k] = dh * z * (1.0 - f * f)
-            dprev = dh * (1.0 - z)
-            if paper:
-                da = dA[k] = dp_h * h
-                dprev += dp_h * A[k]
-                dr = da @ Wh_T
-            else:
-                drh = dp_h @ Wh_T
-                dr = drh * h
-                dprev += drh * r
-            dp_zr = dP_zr[k]
-            dp_zr[:E] = dh * (f - h) * z * (1.0 - z)
-            dp_zr[E:] = dr * r * (1.0 - r)
-            dh = dprev + dp_zr @ W_zr_T
-        Hp = H[:-1]
-        dWh = ZR[:, E:].T @ dA if paper else A.T @ dP_h
-        grads = (Xr.T @ dP_zr[:, :E], Hp.T @ dP_zr[:, :E],
-                 Xr.T @ dP_zr[:, E:], Hp.T @ dP_zr[:, E:],
-                 Xr.T @ dP_h, dWh)
-        for w, gw in zip(weights, grads):
-            if w.requires_grad:
-                w._accumulate(gw)
-        if X.requires_grad:
-            gx = np.zeros_like(x)
-            gx[real] = dP_zr @ U_zr.T + dP_h @ U_h.data.T
-            X._accumulate(gx)
+        G = np.zeros((n, P, 1, E))
+        for p, (real, m) in enumerate(zip(reals, steps)):
+            G[:m, p, 0] = g[offsets[p] + real]
+        # whole-array factors, each the same per element as its per-step form
+        one_zr, one_ff, f_h = 1.0 - ZR, 1.0 - F * F, F - H[:-1]
+        one_z, one_r = one_zr[..., :E], one_zr[..., E:]
+        dP_zr = np.empty((n, P, 1, 2 * E))
+        dP_h = np.empty((n, P, 1, E))
+        dA = np.empty((n, P, 1, E))      # paper only: gradient of r @ W_h
+        dZ, dR = dP_zr[..., :E], dP_zr[..., E:]
+        dh = np.zeros((P, 1, E))
+        for a, lo, hi in phases[::-1]:
+            live = slice(None, a) if a > 1 else 0
+            W_zr_T, Wh_T = W_zr[live].swapaxes(-1, -2), Wh[live].swapaxes(-1, -2)
+            d = dh[live]
+            views = (X[lo:hi, live][::-1] for X in (H, Z, R, A, G, one_z, one_r, one_ff, f_h,
+                                                 dP_zr, dP_h, dA, dZ, dR))
+            for h, z, r, ra, g_k, o_z, o_r, o_ff, fh, dp_zr, dp_h, da, dz, dr in zip(*views):
+                d += g_k
+                np.multiply(d, z, out=dp_h)  # dp_h = d * z * (1 - f * f)
+                dp_h *= o_ff
+                dprev = d * o_z
+                if paper:
+                    np.multiply(dp_h, h, out=da)
+                    dprev += dp_h * ra
+                    np.matmul(da, Wh_T, out=dr)
+                else:
+                    dra = np.matmul(dp_h, Wh_T)
+                    np.multiply(dra, h, out=dr)
+                    dprev += dra * r
+                dr *= r                      # dr = dr * r * (1 - r)
+                dr *= o_r
+                np.multiply(d, fh, out=dz)   # dz = d * (f - h) * z * (1 - z)
+                dz *= z
+                dz *= o_z
+                np.matmul(dp_zr, W_zr_T, out=d)  # dh = dprev + dp_zr @ W_zr^T
+                d += dprev
+        for p, (X, real, m, w) in enumerate(zip(Xs, reals, steps, weights)):
+            if not read[p]:
+                continue
+            x, dzr, dph, Hp = Xr[p], dP_zr[:m, p, 0], dP_h[:m, p, 0], H[:m, p, 0]
+            dWh = ZR[:m, p, 0, E:].T @ dA[:m, p, 0] if paper else A[:m, p, 0].T @ dph
+            grads = (x.T @ dzr[:, :E], Hp.T @ dzr[:, :E], x.T @ dzr[:, E:],
+                     Hp.T @ dzr[:, E:], x.T @ dph, dWh)
+            for wt, gw in zip(w, grads):
+                if wt.requires_grad:
+                    wt._accumulate(gw)
+            if X.requires_grad:
+                gx = np.zeros_like(X.data)
+                gx[real] = dzr @ U_zr[p].T + dph @ w[4].data.T
+                X._accumulate(gx)
 
-    return HiddenSequence(states=Tensor(states, parents=(X,) + weights, backward=bwd),
-                          mask=mask)
+    node = Tensor(data, parents=tuple(t for X, w in zip(Xs, weights) for t in (X,) + w),
+                  backward=bwd)
+    if P == 1:
+        return [node]
+
+    def rows(p):
+        lo, hi = offsets[p], offsets[p + 1]
+
+        def bwd_rows(g):
+            if node.grad is None:
+                node.grad = np.zeros(data.shape)
+            node.grad[lo:hi] += g
+            read[p] = True
+
+        return Tensor(data[lo:hi], parents=(node,), backward=bwd_rows)
+
+    return [rows(p) for p in range(P)]
+
+
+def gru_sequence(X: Tensor, mask: np.ndarray, U_z, W_z, U_r, W_r, U_h, W_h,
+                 form: str = "paper") -> HiddenSequence:
+    """gru_lockstep of one path: a (T, D) input as one tape node."""
+    return gru_lockstep([(X, mask, (U_z, W_z, U_r, W_r, U_h, W_h))], form=form)[0]
 
 
 def gru_unroll(inputs: list[Tensor], mask: np.ndarray, U_z, W_z, U_r, W_r, U_h, W_h,

@@ -22,7 +22,7 @@ from .layers import (
     cross_entropy,
     fc,
     glorot,
-    gru_sequence,
+    gru_lockstep,
 )
 
 
@@ -122,10 +122,10 @@ def _gru_weights(params, prefix):
     return tuple(params[f"{prefix}_{n}"] for n in ("Uz", "Wz", "Ur", "Wr", "Uh", "Wh"))
 
 
-def _encode_path(X: Tensor, mask, params, prefix, config, training, rng) -> HiddenSequence:
-    """GRU over the (T, D) input, dropout on the raw states, per-step FC,
-    dropout again, then re-zero the padded rows."""
-    seq = gru_sequence(X, mask, *_gru_weights(params, prefix), form=config.gru_form)
+def _encode_path(seq: HiddenSequence, params, prefix, config, training, rng) -> HiddenSequence:
+    """Dropout on a GRU path's raw states, per-step FC, dropout again, then
+    re-zero the padded rows."""
+    mask = seq.mask
     h = ad.dropout(seq.states, config.dropout, training, rng)
     h = fc(h, params[f"{prefix}_fcW"], params[f"{prefix}_fcb"])
     h = ad.dropout(h, config.dropout, training, rng)
@@ -155,9 +155,16 @@ def forward(bundle: FeatureBundle, params: ParameterSet, config: ModelConfig,
             f"vocab size {bundle.linguistic[0].dim} != config {config.vocab_size}")
 
     mask = bundle.mask
-    ling_in = ad.embedding_sequence(params["embed"], bundle.linguistic, mask)
-    H_l = _encode_path(ling_in, mask, params, "ling", config, training, rng)
-    H_u = _encode_path(Tensor(bundle.users), mask, params, "user", config, training, rng)
+    paths = {"ling": (ad.embedding_sequence(params["embed"], bundle.linguistic, mask), mask),
+             "user": (Tensor(bundle.users), mask)}
+    if config.has_temporal:
+        paths["temp"] = (Tensor(bundle.temporal[:, None]),
+                         np.ones(config.temporal_len, dtype=bool))
+    # the GRUs draw no random numbers, so stepping them first keeps the dropout stream
+    seqs = gru_lockstep([(X, m, _gru_weights(params, name)) for name, (X, m) in paths.items()],
+                        form=config.gru_form)
+    H_l, H_u, *H_s = [_encode_path(seq, params, name, config, training, rng)
+                      for seq, name in zip(seqs, paths)]
 
     pooled = [ad.maxpool_time(H_l.states, mask), ad.maxpool_time(H_u.states, mask)]
     trace = {}
@@ -165,11 +172,8 @@ def forward(bundle: FeatureBundle, params: ParameterSet, config: ModelConfig,
         H_ul, attn = cim_attention(H_l, H_u)
         pooled.append(ad.maxpool_time(H_ul.states, mask))
         trace["attention"] = attn
-    if config.has_temporal:
-        temp_mask = np.ones(config.temporal_len, dtype=bool)
-        temp_in = Tensor(bundle.temporal[:, None])
-        H_s = _encode_path(temp_in, temp_mask, params, "temp", config, training, rng)
-        pooled.append(ad.maxpool_time(H_s.states, temp_mask))
+    for H in H_s:
+        pooled.append(ad.maxpool_time(H.states, H.mask))
 
     f1 = ad.concat(pooled, axis=0)
     f1 = ad.dropout(f1, config.dropout, training, rng)

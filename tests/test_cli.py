@@ -209,6 +209,19 @@ def test_eval_rejects_parameters_that_do_not_fit_the_config(tiny_dataset, traine
     assert err.count("\n") == 1 and not report.exists()
 
 
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("dropout", "0.5"), ("E_l", True)])
+def test_eval_checks_manifest_config_types(tiny_dataset, trained, tmp_path, capsys,
+                                          field, value):
+    ckpt = copy_checkpoint(trained, tmp_path / "bad", lambda m: m["config"].update({field: value}))
+    report = tmp_path / "r.json"
+    assert run_command(["eval", "--input", str(tiny_dataset), "--checkpoint", str(ckpt),
+                        "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: checkpoint {ckpt}: {field} {value!r} is not of type " \
+                  f"{'float' if field == 'dropout' else 'int'}\n"
+    assert not report.exists()
+
+
 def test_eval_rejects_manifest_that_is_not_json(tiny_dataset, trained, tmp_path, capsys):
     shutil.copy(str(trained) + ".npz", tmp_path / "bad.npz")
     (tmp_path / "bad.json").write_text('{"version": 3, "config": {')
@@ -230,6 +243,39 @@ def test_train_rejects_config_tau_that_differs_from_the_labels(tiny_dataset, tmp
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: tau 3 differs from the 2 labels")
     assert err.count("\n") == 1
+    assert not list(out.iterdir())
+
+
+def test_train_rejects_config_keys_that_are_not_fields(tiny_dataset, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dropuot": 0.9, "user_dim": 5, "E_l": 8}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_command(["train", "--input", str(tiny_dataset), "--out", str(out / "m"),
+                        "--config", str(cfg), "--max-epochs", "1", "--seq-len", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: unknown config fields ['dropuot', 'user_dim']\n"
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('{"dropout": 0.5', "is not valid JSON"),
+    (b"\xff\xfe{}", "is not valid JSON"),
+    ('{"dropout": "0.5"}', "dropout '0.5' is not of type float"),
+    ('{"seed": 1.5}', "seed 1.5 is not of type int"),
+    ('{"patience": true}', "patience True is not of type int"),
+])
+def test_train_rejects_config_file_that_is_not_a_config(tiny_dataset, tmp_path, capsys,
+                                                        text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_command(["train", "--input", str(tiny_dataset), "--out", str(out / "m"),
+                        "--config", str(cfg), "--max-epochs", "1", "--seq-len", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not list(out.iterdir())
 
 

@@ -21,6 +21,7 @@ from cascadefuse.layers import (
     cross_entropy,
     fc,
     glorot,
+    gru_lockstep,
     gru_sequence,
     gru_step,
     gru_unroll,
@@ -220,6 +221,80 @@ def test_gru_sequence_is_one_tape_node():
     seq = gru_sequence(Tensor(rng.normal(size=(6, 3))), np.ones(6, dtype=bool), *w)
     assert set(map(id, seq.states._parents)) >= set(map(id, w))
     assert all(p._parents == () for p in seq.states._parents)
+
+
+# --- gru_lockstep vs the gru_step tape, path by path ---
+
+def steps(n_real, n_pad=0):
+    return [1] * n_real + [0] * n_pad
+
+
+# (mask, D, E) per path; the loss reads every path, or only path 2
+LOCKSTEP_CASES = {
+    "47_28_28": [(steps(47), 1, 4), (steps(28, 2), 3, 4), (steps(28, 2), 5, 4)],
+    "padded_and_empty": [([1, 1, 0, 1, 0, 0], 3, 4), ([0, 0, 0], 2, 4),
+                         ([0, 1, 1, 0, 1, 1, 1], 2, 4), ([1], 3, 4)],
+    "two_widths": [(steps(7), 2, 3), ([1, 1, 0, 1], 3, 5), (steps(5), 2, 3),
+                   ([1, 0, 1], 4, 5), ([0, 0], 1, 5)],
+}
+
+
+@pytest.mark.parametrize("form", ["paper", "standard"])
+@pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+@pytest.mark.parametrize("read", ["all", "path_2"])
+def test_gru_lockstep_matches_gru_step_chain(form, case, read):
+    g = np.random.default_rng(5)
+    specs = [(np.array(m, dtype=bool), D, E) for m, D, E in LOCKSTEP_CASES[case]]
+    xs = [g.normal(size=(m.size, D)) for m, D, _ in specs]
+    w0 = [[g.normal(size=s) * 0.7 for s in ((D, E), (E, E)) * 3] for _, D, E in specs]
+    ups = [Tensor(g.normal(size=(m.size, E))) for m, _, E in specs]
+    read_paths = range(len(specs)) if read == "all" else [2]
+
+    def run(fn):
+        Xs = [Tensor(x, requires_grad=True) for x in xs]
+        ws = [[Parameter(w.copy()) for w in path] for path in w0]
+        states = fn([(X, m, w) for X, (m, _, _), w in zip(Xs, specs, ws)])
+        sum((states[p] * ups[p]).sum() for p in read_paths).backward()
+        return [s.data for s in states], [[X.grad] + [w.grad for w in wp]
+                                          for X, wp in zip(Xs, ws)]
+
+    got_states, got_grads = run(lambda paths: [s.states for s in gru_lockstep(paths, form)])
+    want_states, want_grads = run(lambda paths: [gru_chain(X, m, *w, form=form)
+                                                 for X, m, w in paths])
+    for (m, _, E), got, want in zip(specs, got_states, want_states):
+        assert got.shape == (m.size, E) and np.all(got[~m] == 0)
+        assert rel_err(got, want) <= 1e-12 if m.any() else np.all(got == 0)
+    for p, (got, want) in enumerate(zip(got_grads, want_grads)):
+        for gr, wr in zip(got, want):
+            if p in read_paths and specs[p][0].any():
+                assert rel_err(gr, wr) <= 1e-12
+            else:
+                assert gr is None and wr is None
+
+
+def test_gru_lockstep_is_one_tape_node_per_width():
+    specs = [(3, 4), (2, 4), (1, 6), (3, 4)]  # (D, E)
+    ws = [[Parameter(v.data) for v in gru_args(make_gru_weights(D, E))] for D, E in specs]
+    seqs = gru_lockstep([(Tensor(rng.normal(size=(5, D))), np.ones(5, dtype=bool), w)
+                         for (D, _), w in zip(specs, ws)])
+    nodes = [s.states._parents for s in seqs]
+    assert nodes[0] == nodes[1] == nodes[3] and len(nodes[0]) == 1
+    node = nodes[0][0]
+    assert node.data.shape == (15, 4)
+    assert set(map(id, node._parents)) >= {id(w) for i in (0, 1, 3) for w in ws[i]}
+    assert all(p._parents == () for p in node._parents)
+    # a one-path group is the node itself
+    assert set(map(id, seqs[2].states._parents)) >= set(map(id, ws[2]))
+    assert all(p._parents == () for p in seqs[2].states._parents)
+
+
+def test_gru_lockstep_rejects_unknown_form_and_shapes():
+    w = gru_args(make_gru_weights(3, 2))
+    good = (Tensor(np.zeros((2, 3))), np.ones(2, dtype=bool), w)
+    with pytest.raises(ConfigMismatch):
+        gru_lockstep([good], form="bogus")
+    with pytest.raises(ShapeMismatch, match="GRU path 1"):
+        gru_lockstep([good, (Tensor(np.zeros((2, 4))), np.ones(2, dtype=bool), w)])
 
 
 # --- cim attention ---

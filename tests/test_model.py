@@ -136,6 +136,21 @@ def test_config_rejects_bad_sizes_and_epoch_counts(values):
         ModelConfig(variant="full", **dict(TOY, **values))
 
 
+@pytest.mark.parametrize("values", [
+    {"seed": 1.5}, {"seed": "1"}, {"seed": True}, {"E_l": 4.0}, {"tau": None},
+    {"dropout": "0.5"}, {"dropout": True}, {"min_improvement": float("nan")},
+    {"variant": 1}, {"gru_form": None}, {"f2_dim": 2.0}, {"seq_len": "3"},
+])
+def test_config_checks_field_types(values):
+    with pytest.raises(ConfigMismatch, match="is not"):
+        ModelConfig(**dict(TOY, **values))
+
+
+def test_config_float_fields_accept_ints():
+    cfg = ModelConfig(**dict(TOY, dropout=0, min_improvement=0, seed=np.int64(3), f2_dim=None))
+    assert cfg.dropout == 0 and cfg.seed == 3
+
+
 def test_user_weights_take_their_width_from_the_profile():
     cfg = ModelConfig(variant="full", **TOY)
     params = init_params(cfg)
@@ -238,6 +253,12 @@ def tape_gru_sequence(X, mask, *weights, form="paper"):
     return HiddenSequence(states=ad.stack_rows(rows), mask=mask)
 
 
+def tape_gru_lockstep(paths, form="paper"):
+    """The per-path tape the lockstep op replaces: tape_gru_sequence for each path."""
+    return [tape_gru_sequence(X, np.asarray(mask, dtype=bool), *weights, form=form)
+            for X, mask, weights in paths]
+
+
 def tape_embedding_sequence(E, posts, mask):
     return ad.stack_rows([ad.embedding_lookup(E, v.indices, v.values) if m
                           else Tensor(np.zeros(E.data.shape[1]))
@@ -251,10 +272,17 @@ def test_train_trajectory_matches_tape_oracle(monkeypatch, gru_form):
     data = make_dataset(8)
     data[0] = dataclasses.replace(data[0], mask=np.array([True, True, False]))
     fused, h_fused, _ = train(data[:6], data[6:], cfg)
+    oracle_paths = []
+
+    def oracle(paths, form="paper"):
+        oracle_paths.extend(paths)
+        return tape_gru_lockstep(paths, form)
+
     with monkeypatch.context() as m:
-        m.setattr(model, "gru_sequence", tape_gru_sequence)
+        m.setattr(model, "gru_lockstep", oracle)
         m.setattr(ad, "embedding_sequence", tape_embedding_sequence)
         tape, h_tape, _ = train(data[:6], data[6:], cfg)
+    assert len(oracle_paths) == 3 * (3 * 6 + 3 * 2)  # three paths per forward pass
     assert len(h_fused.train_loss) == 3
     for got, want in ((h_fused.train_loss, h_tape.train_loss),
                       (h_fused.val_loss, h_tape.val_loss)):
@@ -262,6 +290,29 @@ def test_train_trajectory_matches_tape_oracle(monkeypatch, gru_form):
     for k in tape:
         scale = np.max(np.abs(tape[k].data))
         assert np.max(np.abs(fused[k].data - tape[k].data)) <= 1e-10 * scale, k
+
+
+@pytest.mark.parametrize("variant, sizes", [
+    ("full", dict(E_s=3)), ("no_time", {}), ("no_cim", dict(E_u=3)), ("no_cim", dict(E_s=5)),
+])
+def test_forward_and_gradients_match_per_path_tape_oracle(monkeypatch, variant, sizes):
+    cfg = ModelConfig(variant=variant, dropout=0.5,
+                      **dict({k: v for k, v in TOY.items() if k != "dropout"}, **sizes))
+    b = dataclasses.replace(toy_bundle(seed=4), mask=np.array([True, True, False]))
+
+    def run():
+        params = init_params(cfg, seed=2)
+        z, _ = forward(b, params, cfg, training=True, rng=np.random.default_rng(9))
+        cross_entropy(z, 1).backward()
+        return z.data, {k: p.grad for k, p in params.items()}
+
+    z, grads = run()
+    monkeypatch.setattr(model, "gru_lockstep", tape_gru_lockstep)
+    z_tape, grads_tape = run()
+    assert np.max(np.abs(z - z_tape)) <= 1e-12
+    assert grads.keys() == grads_tape.keys()
+    for k, g in grads_tape.items():
+        assert np.max(np.abs(grads[k] - g)) <= 1e-12 * max(np.max(np.abs(g)), 1e-300), k
 
 
 def test_train_row_sparse_step_is_bit_equal_to_dense(monkeypatch):
