@@ -6,6 +6,8 @@ All types are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +26,7 @@ PROFILE_COUNT_FIELDS = (
     "account_age_days",
 )
 PROFILE_FLAG_FIELDS = ("verified", "geo")
+_profile_values = operator.attrgetter(*PROFILE_COUNT_FIELDS, *PROFILE_FLAG_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -41,14 +44,14 @@ class UserProfile:
 
     def __post_init__(self):
         for name in PROFILE_COUNT_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"profile field {name!r} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"profile field {name!r} must be finite and non-negative")
         for name in PROFILE_FLAG_FIELDS:
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"profile flag {name!r} must be 0 or 1")
 
     def as_tuple(self):
-        return tuple(getattr(self, f) for f in PROFILE_COUNT_FIELDS + PROFILE_FLAG_FIELDS)
+        return _profile_values(self)
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,8 @@ class Post:
     user: UserProfile = field(default_factory=UserProfile)
 
     def __post_init__(self):
-        if self.followers < 0:
-            raise ValueError("followers must be non-negative")
+        if not 0 <= self.followers < math.inf:  # NaN fails too
+            raise ValueError("followers must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -80,13 +83,16 @@ class NewsStory:
 def validate_story(raw: NewsStory, label_set: tuple[str, ...] | None = None) -> NewsStory:
     """Normalize a parsed story: sort posts by time, rebase so min t = 0.
 
-    Idempotent. Raises EmptyStory, NegativeTime, or UnknownLabel.
+    Idempotent. Raises EmptyStory, NegativeTime, InvalidValue (a NaN or
+    infinite t) or UnknownLabel.
     """
     if len(raw.posts) == 0:
         raise EmptyStory(f"story {raw.id!r} has no posts")
     for p in raw.posts:
-        if p.t < 0:
-            raise NegativeTime(f"story {raw.id!r} has post at t={p.t}")
+        if not 0 <= p.t < math.inf:
+            if p.t < 0:
+                raise NegativeTime(f"story {raw.id!r} has post at t={p.t}")
+            raise InvalidValue(f"story {raw.id!r} has post at non-finite t={p.t}")
     allowed = label_set if label_set is not None else set(FOURWAY_LABELS)
     if raw.label not in allowed:
         raise UnknownLabel(f"story {raw.id!r} has label {raw.label!r}, expected one of {sorted(allowed)}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import operator
 import re
 import unicodedata
 from collections import Counter
@@ -24,45 +25,17 @@ from .pointprocess import (
 )
 
 URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
-WORD_RE = re.compile(r"[\w']+", re.UNICODE)
 URL_TOKEN = "<url>"
+# a whitespace-delimited URL_TOKEN piece, or a word
+TOKEN_RE = re.compile(rf"(?<!\S){URL_TOKEN}(?!\S)|[\w']+")
+HAN = "一-鿿㐀-䶿"  # CJK unified ideographs and extension A
+HAN_RE = re.compile(f"[{HAN}]")
+# a han run of two or more (emitted as bigrams), or any other run (kept whole)
+HAN_RUN_RE = re.compile(f"([{HAN}]{{2,}})|([{HAN}]|[^{HAN}]+)")
 
 VARIANTS = ("full", "no_cim", "no_time", "freq")
+N_COUNTS = len(PROFILE_COUNT_FIELDS)  # leading, standardized columns of a user row
 USER_DIM = len(PROFILE_COUNT_FIELDS + PROFILE_FLAG_FIELDS)  # width of a user vector
-
-
-def _is_han(ch: str) -> bool:
-    return "一" <= ch <= "鿿" or "㐀" <= ch <= "䶿"
-
-
-def _split_han(token: str):
-    """Split a token into han runs (emitted as character bigrams) and the rest."""
-    out = []
-    run = []
-    other = []
-
-    def flush_other():
-        if other:
-            out.append("".join(other))
-            other.clear()
-
-    def flush_run():
-        if len(run) == 1:
-            out.append(run[0])
-        elif run:
-            out.extend(a + b for a, b in zip(run, run[1:]))
-        run.clear()
-
-    for ch in token:
-        if _is_han(ch):
-            flush_other()
-            run.append(ch)
-        else:
-            flush_run()
-            other.append(ch)
-    flush_other()
-    flush_run()
-    return out
 
 
 def tokenize(text: str) -> list[str]:
@@ -72,17 +45,20 @@ def tokenize(text: str) -> list[str]:
         return []
     text = URL_RE.sub(f" {URL_TOKEN} ", text)
     text = unicodedata.normalize("NFKC", text).lower()
-    tokens = []
-    for piece in text.split():
-        if piece == URL_TOKEN:
-            tokens.append(URL_TOKEN)
+    tokens = TOKEN_RE.findall(text)
+    if HAN_RE.search(text) is None:
+        return tokens
+    out = []
+    for tok in tokens:
+        if HAN_RE.search(tok) is None:
+            out.append(tok)
             continue
-        for tok in WORD_RE.findall(piece):
-            if any(_is_han(c) for c in tok):
-                tokens.extend(_split_han(tok))
+        for run, other in HAN_RUN_RE.findall(tok):
+            if run:
+                out.extend(map(operator.add, run, run[1:]))
             else:
-                tokens.append(tok)
-    return tokens
+                out.append(other)
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,19 +91,23 @@ def build_vocabulary(corpus: list[NewsStory], K: int = 5000) -> Vocabulary:
     """Build the top-K tf-idf vocabulary from training stories.
 
     idf(w) = ln((1 + N) / (1 + df(w))) + 1 over the N training posts; terms
-    are ranked by their max tf-idf across posts, ties lexicographic.
+    are ranked by their max tf-idf across posts, ties lexicographic. K must be
+    a non-negative integer (InvalidValue otherwise).
     """
     if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
+    if isinstance(K, bool) or not isinstance(K, numbers.Integral) or K < 0:
+        raise InvalidValue(f"vocabulary size K {K!r} must be a non-negative integer")
     docs = [tokenize(p.text) for story in corpus for p in story.posts]
     n_docs = len(docs)
     df: Counter = Counter()
-    best_tf: dict[str, float] = {}
+    best_tf: dict[str, int] = {}
     for doc in docs:
         counts = Counter(doc)
+        df.update(counts.keys())
         for w, tf in counts.items():
-            df[w] += 1
-            best_tf[w] = max(best_tf.get(w, 0.0), tf)
+            if tf > best_tf.get(w, 0):
+                best_tf[w] = tf
     idf = {w: math.log((1 + n_docs) / (1 + d)) + 1.0 for w, d in df.items()}
     scored = sorted(idf, key=lambda w: (-best_tf[w] * idf[w], w))
     terms = tuple(scored[:K])
@@ -150,12 +130,13 @@ class SparseVec:
 
 def vectorize_post(tokens: list[str], vocab: Vocabulary) -> SparseVec:
     """tf * idf over in-vocabulary tokens; OOV tokens are dropped."""
-    idx = vocab.index
-    counts: Counter = Counter(t for t in tokens if t in idx)
+    counts = Counter(map(vocab.index.get, tokens))  # OOV tokens count under None
+    counts.pop(None, None)
     if not counts:
         return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), vocab.size)
-    indices = np.array(sorted(idx[w] for w in counts), dtype=np.int64)
-    values = np.array([counts[vocab.terms[i]] * vocab.idf[i] for i in indices])
+    indices, tfs = zip(*sorted(counts.items()))
+    indices = np.array(indices, dtype=np.int64)
+    values = np.array(tfs, dtype=float) * vocab.idf[indices]
     return SparseVec(indices=indices, values=values, dim=vocab.size)
 
 
@@ -174,19 +155,23 @@ class UserScaler:
 def fit_user_scaler(corpus: list[NewsStory]) -> UserScaler:
     if not corpus:
         raise EmptyCorpus("cannot fit a scaler on an empty corpus")
-    n = len(PROFILE_COUNT_FIELDS)
-    rows = np.array([p.user.as_tuple()[:n] for s in corpus for p in s.posts], dtype=float)
+    rows = np.array([p.user.as_tuple()[:N_COUNTS] for s in corpus for p in s.posts],
+                    dtype=float)
     means = rows.mean(axis=0)
     stds = rows.std(axis=0)
     stds[stds == 0] = 1.0
     return UserScaler(means=means, stds=stds)
 
 
+def _user_rows(profiles, scaler: UserScaler) -> np.ndarray:
+    """(len(profiles), USER_DIM) rows: counts standardized, flags as they are."""
+    rows = np.array([p.as_tuple() for p in profiles], dtype=float).reshape(-1, USER_DIM)
+    rows[:, :N_COUNTS] = (rows[:, :N_COUNTS] - scaler.means) / scaler.stds
+    return rows
+
+
 def user_vector(profile: UserProfile, scaler: UserScaler) -> np.ndarray:
-    raw = np.array(profile.as_tuple(), dtype=float)  # a fresh array, scaled in place
-    n = len(PROFILE_COUNT_FIELDS)
-    raw[:n] = (raw[:n] - scaler.means) / scaler.stds
-    return raw
+    return _user_rows([profile], scaler)[0]
 
 
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}  # by annotation
@@ -241,8 +226,7 @@ def build_bundle(story: NewsStory, vocab: Vocabulary, scaler: UserScaler,
     linguistic = tuple(vectorize_post(tokenize(p.text), vocab) for p in posts) \
         + (empty,) * (T - n_real)
     users = np.zeros((T, USER_DIM))
-    for i, p in enumerate(posts):
-        users[i] = user_vector(p.user, scaler)
+    users[:n_real] = _user_rows([p.user for p in posts], scaler)
     mask = np.zeros(T, dtype=bool)
     mask[:n_real] = True
 

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cascadefuse.cascade import (
+    PROFILE_COUNT_FIELDS,
     NewsStory,
     Post,
     UserProfile,
@@ -35,6 +38,17 @@ def test_validate_empty_story():
 def test_validate_negative_time():
     with pytest.raises(NegativeTime):
         validate_story(story([-5, 10]))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_validate_rejects_non_finite_time(t):
+    with pytest.raises(InvalidValue, match="non-finite"):
+        validate_story(story([0, t]))
+
+
+def test_validate_negative_infinite_time_is_negative():
+    with pytest.raises(NegativeTime):
+        validate_story(story([0, -math.inf]))
 
 
 def test_validate_unknown_label():
@@ -94,6 +108,24 @@ def test_profile_flags_validated():
         UserProfile(verified=2)
     with pytest.raises(ValueError):
         UserProfile(followers=-1)
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", PROFILE_COUNT_FIELDS)
+def test_profile_count_fields_must_be_finite_and_non_negative(name, value):
+    with pytest.raises(ValueError, match=f"{name!r} must be finite and non-negative"):
+        UserProfile(**{name: value})
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_post_followers_must_be_finite_and_non_negative(value):
+    with pytest.raises(ValueError, match="followers must be finite and non-negative"):
+        Post(t=0.0, followers=value)
+
+
+def test_profile_as_tuple_is_in_field_order():
+    p = UserProfile(1, 2, 3, 4, 5, 6, 1, 0)
+    assert p.as_tuple() == (1, 2, 3, 4, 5, 6, 1, 0)
 
 
 def test_profile_from_dict_defaults_missing_to_zero():

@@ -39,6 +39,20 @@ def test_validate_missing_file(tmp_path, capsys):
     assert run_command(["validate", "--input", str(tmp_path / "nope.jsonl")]) != 0
 
 
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
+    # json reads NaN and Infinity; the dataset boundary does not let them through
+    user = {"desc_len": 1, "name_len": 2, "followers": float("nan"), "follows": 4,
+            "posts": 5, "account_age_days": 6, "verified": 0, "geo": 1}
+    line = json.dumps({"id": "a", "label": "true", "posts": [
+        {"t": float("nan"), "followers": float("inf"), "text": "x", "user": user}]})
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert run_command(["validate", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "stories" not in captured.out
+    assert captured.err.count("error:") == 1 and "line 1" in captured.err
+
+
 def test_simulate(tmp_path):
     out = tmp_path / "sim.jsonl"
     assert run_command(["simulate", "--seed", "4", "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,7 @@ from cascadefuse.data import (
     save_dataset,
     split_dataset,
 )
-from cascadefuse.errors import MixedLabelSets, ParseError, TooFewStories
+from cascadefuse.errors import InvalidValue, MixedLabelSets, ParseError, TooFewStories
 from cascadefuse.pointprocess import default_grid, infectiousness_series
 
 
@@ -49,6 +50,29 @@ def test_load_parse_error_reports_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_dataset(p)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("field", ["followers", "user.followers"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_load_rejects_non_finite_counts_with_line(tmp_path, field, value):
+    obj = json.loads(story_line("b", "fake", [0, 10]))
+    post = obj["posts"][1]
+    if field == "followers":
+        post["followers"] = value
+    else:
+        post["user"]["followers"] = value
+    p = tmp_path / "d.jsonl"
+    write_jsonl(p, [story_line("a", "true", [0]), json.dumps(obj)])
+    with pytest.raises(ParseError, match="finite and non-negative") as exc:
+        load_dataset(p)
+    assert exc.value.line == 2
+
+
+def test_load_rejects_non_finite_time(tmp_path):
+    p = tmp_path / "d.jsonl"
+    write_jsonl(p, [story_line("a", "true", [0, math.nan])])
+    with pytest.raises(InvalidValue, match="non-finite"):
+        load_dataset(p)
 
 
 def test_load_mixed_label_sets(tmp_path):

@@ -1,16 +1,20 @@
 import dataclasses
+import hashlib
 import json
 import math
+import re
+import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cascadefuse.cascade import NewsStory, Post, UserProfile
 from cascadefuse.cli import run_command
 from cascadefuse.data import generate_synthetic, save_dataset, split_dataset
-from cascadefuse.errors import ConfigMismatch, EmptyCorpus
+from cascadefuse.errors import ConfigMismatch, EmptyCorpus, InvalidValue
 from cascadefuse.features import (
+    URL_RE,
     URL_TOKEN,
     USER_DIM,
     BundleConfig,
@@ -36,6 +40,73 @@ def story_of_texts(texts, label="true", sid="s", t_step=10.0, followers=5.0):
 
 
 # --- tokenize ---
+
+def _is_han(ch):
+    return "一" <= ch <= "鿿" or "㐀" <= ch <= "䶿"
+
+
+def _split_han(token):
+    """Split a token into han runs (emitted as character bigrams) and the rest."""
+    out = []
+    run = []
+    other = []
+
+    def flush_other():
+        if other:
+            out.append("".join(other))
+            other.clear()
+
+    def flush_run():
+        if len(run) == 1:
+            out.append(run[0])
+        elif run:
+            out.extend(a + b for a, b in zip(run, run[1:]))
+        run.clear()
+
+    for ch in token:
+        if _is_han(ch):
+            flush_other()
+            run.append(ch)
+        else:
+            flush_run()
+            other.append(ch)
+    flush_other()
+    flush_run()
+    return out
+
+
+def reference_tokenize(text):
+    """Test oracle: the per-piece, per-character tokenizer that `tokenize`
+    replaces with one regex pass."""
+    if not text:
+        return []
+    text = URL_RE.sub(f" {URL_TOKEN} ", text)
+    text = unicodedata.normalize("NFKC", text).lower()
+    tokens = []
+    for piece in text.split():
+        if piece == URL_TOKEN:
+            tokens.append(URL_TOKEN)
+            continue
+        for tok in re.findall(r"[\w']+", piece):
+            if any(_is_han(c) for c in tok):
+                tokens.extend(_split_han(tok))
+            else:
+                tokens.append(tok)
+    return tokens
+
+
+TEXT_PIECES = (
+    "<url>", "<URL>", "a<url>", "<url>b", "<URL>Glued", "http://t.co/x", "HTTPS://X.Y/z",
+    "www.", "www.e.org", "　", "\x1c", "\x85", "\xa0", " ", "\u200b", "\n",
+    "一", "鿿", "㐀", "䶿", "\u33ff", "\u4dc0", "\ua000", "豈", "这是", "新闻",
+    "ＦＵＬＬ", "ｗｉｄｅ", "ﬁ", "İ", "’", "'", "_", "word", "Mixed", "3",
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(TEXT_PIECES) | st.text(max_size=3), max_size=12).map("".join))
+def test_tokenize_matches_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
 
 def test_tokenize_lowercases_and_splits():
     assert tokenize("Fake NEWS here") == ["fake", "news", "here"]
@@ -93,6 +164,17 @@ def test_vocabulary_tie_break_lexicographic():
     corpus = [story_of_texts(["bb aa"])]
     vocab = build_vocabulary(corpus, K=2)
     assert vocab.terms == ("aa", "bb")
+
+
+@pytest.mark.parametrize("K", [-3, -1, 1.5, "5", True])
+def test_vocabulary_rejects_k_that_is_not_a_non_negative_integer(K):
+    with pytest.raises(InvalidValue, match="non-negative integer"):
+        build_vocabulary(TOY, K=K)
+
+
+def test_vocabulary_k_zero_is_empty():
+    vocab = build_vocabulary(TOY, K=0)
+    assert vocab.size == 0 and vocab.idf.shape == (0,)
 
 
 def test_vocabulary_empty_corpus():
@@ -264,3 +346,66 @@ def test_featurizer_roundtrip(tmp_path):
     assert all(np.array_equal(x.to_dense(), y.to_dense())
                for x, y in zip(b1.linguistic, b2.linguistic))
     assert np.array_equal(b1.users, b2.users)
+
+
+# --- golden digest of the whole featurizer ---
+
+MIXED_TEXTS = (
+    "BREAKING 这是新闻 http://t.co/abc fake?",
+    "ＦＵＬＬＷＩＤＴＨ Ｎｅｗｓ ﬁnd <URL> 一丁鿿㐀䶿 www.example.com/x",
+    "假 rumour’s_spread 真的假的 HTTPS://X.Y/z <url>glued 豈豈",
+    "don't　stop\xa0now\x85İstanbul\u200bzero 丁a鿿",
+)
+
+
+def with_mixed_texts(stories):
+    """The stories with the first two texts of each replaced by MIXED_TEXTS."""
+    out = []
+    for i, s in enumerate(stories):
+        posts = list(s.posts)
+        for j in range(min(2, len(posts))):
+            posts[j] = dataclasses.replace(posts[j],
+                                           text=MIXED_TEXTS[(i + j) % len(MIXED_TEXTS)])
+        out.append(dataclasses.replace(s, posts=tuple(posts)))
+    return out
+
+
+def featurizer_digest(stories):
+    """sha256 over the vocabulary (terms, idf bytes) and every bundle's
+    linguistic indices and values, user rows and temporal series."""
+    vocab = build_vocabulary(stories, K=5000)
+    scaler = fit_user_scaler(stories)
+    h = hashlib.sha256("\n".join(vocab.terms).encode())
+    h.update(vocab.idf.tobytes())
+    for s in stories:
+        b = build_bundle(s, vocab, scaler, BundleConfig())
+        for v in b.linguistic:
+            h.update(v.indices.tobytes())
+            h.update(v.values.tobytes())
+        h.update(b.users.tobytes())
+        h.update(b.temporal.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_stories():
+    return generate_synthetic(4, seed=3).stories
+
+
+def test_featurizer_golden_digest(golden_stories):
+    # recorded with the per-character tokenizer and per-post user scaling
+    assert featurizer_digest(golden_stories) == (
+        "55adf0e7b5f48a805e2d3e5f7663be95b74bf62de4eafe139df615401a1e3eed")
+
+
+def test_featurizer_golden_digest_mixed_scripts(golden_stories):
+    assert featurizer_digest(with_mixed_texts(golden_stories)) == (
+        "6d54e60fa09e57ac445429555565563a85bb411933baee9c474dd34dac259e85")
+
+
+def test_user_vector_is_a_bundle_row(golden_stories):
+    s = golden_stories[0]
+    vocab, scaler = build_vocabulary([s], K=5), fit_user_scaler(golden_stories)
+    b = build_bundle(s, vocab, scaler, BundleConfig(seq_len=3))
+    for i in range(3):
+        assert user_vector(s.posts[i].user, scaler).tobytes() == b.users[i].tobytes()
