@@ -124,9 +124,10 @@ def _prepare(args):
 
 def cmd_train(args):
     manifest, splits, vocab, scaler, config = _prepare(args)
-    bundles = feat.build_bundles(splits, vocab, scaler, config)
-    params, history, tscaler = mdl.train(bundles.get("train", []), bundles.get("val", []),
-                                         config, label_set=manifest.label_set)
+    bundles = feat.build_bundles({k: splits.get(k, []) for k in ("train", "val")}, vocab,
+                                 scaler, config)
+    params, history, tscaler = mdl.train(bundles["train"], bundles["val"], config,
+                                         label_set=manifest.label_set)
     save_checkpoint(args.out, params, manifest={
         "config": dataclasses.asdict(config),
         "vocabulary": {"terms": list(vocab.terms), "idf": vocab.idf.tolist()},

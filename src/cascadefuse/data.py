@@ -72,8 +72,8 @@ def load_dataset(path) -> DatasetManifest:
                 obj = json.loads(line)
                 story, declared = _story_from_obj(obj)
                 story = validate_story(story)
-            except CascadeFuseError:
-                raise
+            except CascadeFuseError as e:  # validate_story's typed errors keep their type
+                raise type(e)(f"line {lineno}: {e}") from e
             except Exception as e:
                 raise ParseError(f"line {lineno}: {e}", line=lineno) from e
             if declared:

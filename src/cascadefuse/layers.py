@@ -73,8 +73,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None):
 
 def fc(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """Affine layer x @ W + b; broadcasts the bias over rows of a 2-D input."""
-    if x.data.shape[-1] != W.data.shape[0]:
-        raise ShapeMismatch(f"fc: input dim {x.data.shape[-1]} vs weight {W.data.shape}")
     return x @ W + b
 
 
@@ -317,33 +315,22 @@ def adadelta_step(params: ParameterSet, rho: float = 0.95, eps: float = 1e-6):
     """Apply one AdaDelta update to every parameter with a gradient, then
     zero the gradient buffers.
 
-    A parameter whose gradient names its rows (grad_rows) is updated on those
-    rows only, in the dense branch's order; the other rows just decay their
-    accumulators. That is bit-equal to the dense update, which on a zero row
-    computes acc*rho + 0.0 and data + (-0.0).
+    Both accumulators decay over all rows; the update itself runs over the
+    rows the gradient names (grad_rows), or all rows. That is bit-equal to
+    updating every row, which on a zero-gradient row computes acc*rho + 0.0
+    and data + (-0.0).
     """
     for p in params.values():
         if p.grad is None:
             continue
-        rows = p.grad_rows
-        if rows is None:
-            g = p.grad
-            p.acc_grad_sq *= rho
-            p.acc_grad_sq += (1.0 - rho) * g * g
-            delta = -np.sqrt(p.acc_delta_sq + eps) / np.sqrt(p.acc_grad_sq + eps) * g
-            p.acc_delta_sq *= rho
-            p.acc_delta_sq += (1.0 - rho) * delta * delta
-            p.data = p.data + delta
-        else:
-            g = p.grad[rows]
-            p.acc_grad_sq *= rho
-            acc_g = p.acc_grad_sq[rows]
-            acc_g += (1.0 - rho) * g * g
-            p.acc_grad_sq[rows] = acc_g
-            delta = -np.sqrt(p.acc_delta_sq[rows] + eps) / np.sqrt(acc_g + eps) * g
-            p.acc_delta_sq *= rho
-            p.acc_delta_sq[rows] += (1.0 - rho) * delta * delta
-            p.data[rows] += delta
+        rows = slice(None) if p.grad_rows is None else p.grad_rows
+        g = p.grad[rows]
+        p.acc_grad_sq *= rho
+        p.acc_grad_sq[rows] += (1.0 - rho) * g * g
+        delta = -np.sqrt(p.acc_delta_sq[rows] + eps) / np.sqrt(p.acc_grad_sq[rows] + eps) * g
+        p.acc_delta_sq *= rho
+        p.acc_delta_sq[rows] += (1.0 - rho) * delta * delta
+        p.data[rows] += delta
     params.zero_grad()
 
 

@@ -4,14 +4,13 @@ evaluation, grid search, and the time-frame sweep."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigMismatch, EmptyDataset, EmptySpace
+from .errors import ConfigMismatch, EmptyDataset, EmptySpace, UnknownLabel
 from .features import USER_DIM, BundleConfig, FeatureBundle, build_bundles
 from .layers import (
     GRU_FORMS,
@@ -217,7 +216,10 @@ class TrainHistory:
 
 
 def _label_index(label: str, label_set) -> int:
-    return list(label_set).index(label)
+    labels = list(label_set)
+    if label not in labels:
+        raise UnknownLabel(f"label {label!r} is not in the model's label set {labels}")
+    return labels.index(label)
 
 
 def train(train_bundles: list[FeatureBundle], val_bundles: list[FeatureBundle],

@@ -32,6 +32,7 @@ DEFAULT_S0 = 300.0  # 5 minutes, in seconds
 DEFAULT_THETA = 0.242
 
 SECONDS_PER_HOUR = 3600.0
+LOOKAHEAD = 60.0  # seconds; the simulator holds its intensity bound over this window
 
 
 @dataclass(frozen=True)
@@ -253,48 +254,44 @@ def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
 
     s_h_profile maps hours to the (time-varying) infectiousness; the
     follower count of each event is drawn from follower_sampler(rng).
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. Raises ExplodingCascade when the cascade,
+    its source included, would exceed max_events events.
     """
     if not 0 < horizon < math.inf:  # NaN too; an infinite horizon never ends
         raise NonPositiveTime(f"horizon must be positive and finite, got {horizon!r}")
     rng = np.random.default_rng(seed)
     n0 = follower_sampler(rng) if source_followers is None else source_followers
-    times = [0.0]
-    followers = [float(n0)]
+    # one event buffer, written in place: the source, the accepted events and
+    # the one past max_events that raises
+    times = np.zeros(max_events + 1)
+    followers = np.zeros(max_events + 1)
+    followers[0] = n0
+    n = 1
     t = 0.0
-    lookahead = 60.0  # seconds; intensity upper bound held over this window
-
-    times_arr = np.array(times)
-    foll_arr = np.array(followers)
 
     while t < horizon:
         # the excitation kernel is non-increasing, so the history term at the
         # window start bounds it over the whole window
-        hist = _excitation(times_arr, foll_arr, t, params)
-        w_end = min(t + lookahead, horizon)
+        hist = _excitation(times[:n], followers[:n], t, params)
+        w_end = min(t + LOOKAHEAD, horizon)
         grid = np.linspace(t, w_end, 5) / SECONDS_PER_HOUR
         s_max = max(float(s_h_profile(h)) for h in grid)
         bound = s_max * hist
-        if bound <= 0:
-            t = w_end
-            if t >= horizon:
-                break
-            continue
-        wait = rng.exponential(1.0 / bound)
+        wait = math.inf if bound <= 0 else rng.exponential(1.0 / bound)
         if t + wait > w_end:
             t = w_end
             continue
         t = t + wait
         lam = (float(s_h_profile(t / SECONDS_PER_HOUR))
-               * _excitation(times_arr, foll_arr, t, params))
+               * _excitation(times[:n], followers[:n], t, params))
         if rng.uniform() <= lam / bound:
-            times.append(t)
-            followers.append(float(follower_sampler(rng)))
-            times_arr = np.array(times)
-            foll_arr = np.array(followers)
-            if len(times) > max_events:
+            times[n] = t
+            followers[n] = follower_sampler(rng)
+            n += 1
+            if n > max_events:
                 raise ExplodingCascade(
                     f"cascade exceeded {max_events} events; profile is supercritical")
 
-    posts = tuple(Post(t=tt, followers=nn) for tt, nn in zip(times, followers))
+    posts = tuple(Post(t=tt, followers=nn)
+                  for tt, nn in zip(times[:n].tolist(), followers[:n].tolist()))
     return NewsStory(id=story_id, label=label, posts=posts)

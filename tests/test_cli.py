@@ -170,6 +170,30 @@ def copy_checkpoint(src, dst, edit):
     return dst
 
 
+def test_eval_rejects_label_outside_the_checkpoint_label_set(tiny_dataset, trained, tmp_path,
+                                                            capsys):
+    split = json.load(open(str(tiny_dataset) + ".split.json"))
+    first_test = next(sid for sid, part in split.items() if part == "test")
+    lines = []
+    for line in open(tiny_dataset, encoding="utf-8"):
+        obj = json.loads(line)
+        obj["label_set"] = ["true", "fake", "unverified", "debunking"]
+        if obj["id"] == first_test:
+            obj["label"] = "unverified"
+        lines.append(json.dumps(obj))
+    data = tmp_path / "fourway.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    shutil.copy(str(tiny_dataset) + ".split.json", str(data) + ".split.json")
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run_command(["eval", "--input", str(data), "--checkpoint", str(trained),
+                        "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: label 'unverified'")
+    assert "['true', 'fake']" in err
+    assert not report.exists()
+
+
 def test_eval_rejects_version_2_checkpoint(tiny_dataset, trained, tmp_path, capsys):
     # version 2 stored user_dim in the config
     def as_version_2(meta):

@@ -15,7 +15,15 @@ from cascadefuse.data import (
     save_dataset,
     split_dataset,
 )
-from cascadefuse.errors import InvalidValue, MixedLabelSets, ParseError, TooFewStories
+from cascadefuse.errors import (
+    EmptyStory,
+    InvalidValue,
+    MixedLabelSets,
+    NegativeTime,
+    ParseError,
+    TooFewStories,
+    UnknownLabel,
+)
 from cascadefuse.pointprocess import default_grid, infectiousness_series
 
 
@@ -72,6 +80,19 @@ def test_load_rejects_non_finite_time(tmp_path):
     p = tmp_path / "d.jsonl"
     write_jsonl(p, [story_line("a", "true", [0, math.nan])])
     with pytest.raises(InvalidValue, match="non-finite"):
+        load_dataset(p)
+
+
+@pytest.mark.parametrize("label, times, error", [
+    ("true", [0, math.nan], InvalidValue),
+    ("true", [0, -5], NegativeTime),
+    ("bogus", [0], UnknownLabel),
+    ("true", [], EmptyStory),
+])
+def test_load_story_validation_errors_name_their_line(tmp_path, label, times, error):
+    p = tmp_path / "d.jsonl"
+    write_jsonl(p, [story_line("a", "true", [0]), story_line("b", label, times)])
+    with pytest.raises(error, match=r"^line 2: story 'b' "):
         load_dataset(p)
 
 

@@ -430,6 +430,38 @@ def test_adadelta_two_steps_follow_recurrence():
     assert np.allclose(p.acc_delta_sq, rho * Ed + (1 - rho) * d2**2)
 
 
+def reference_adadelta_step(p, rho=0.95, eps=1e-6):
+    """The dense AdaDelta update of one parameter, over every row."""
+    g = p.grad
+    p.acc_grad_sq *= rho
+    p.acc_grad_sq += (1.0 - rho) * g * g
+    delta = -np.sqrt(p.acc_delta_sq + eps) / np.sqrt(p.acc_grad_sq + eps) * g
+    p.acc_delta_sq *= rho
+    p.acc_delta_sq += (1.0 - rho) * delta * delta
+    p.data = p.data + delta
+    p.grad = None
+
+
+@pytest.mark.parametrize("case", ["named rows", "dense 2-D", "1-D bias"])
+def test_adadelta_step_equals_dense_reference(case):
+    g = np.random.default_rng(4)
+    shape = (9,) if case == "1-D bias" else (9, 5)
+    ps, ref = ParameterSet(), ParameterSet()
+    data = g.normal(size=shape)
+    p, q = ps.add("w", data.copy()), ref.add("w", data.copy())
+    for step in range(4):
+        grad = g.normal(size=shape)
+        if case == "named rows":
+            rows = np.sort(g.choice(9, size=3, replace=False))
+            grad[np.setdiff1d(np.arange(9), rows)] = 0.0
+            p.grad_rows = rows
+        p.grad, q.grad = grad.copy(), grad.copy()
+        adadelta_step(ps)
+        reference_adadelta_step(q)
+        for what in ("data", "acc_grad_sq", "acc_delta_sq"):
+            assert np.array_equal(getattr(p, what), getattr(q, what)), (step, what)
+
+
 # --- row-sparse adadelta ---
 
 def sparse(indices, values, dim):

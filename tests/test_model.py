@@ -6,7 +6,7 @@ import pytest
 from cascadefuse import autodiff as ad
 from cascadefuse import model
 from cascadefuse.autodiff import Tensor
-from cascadefuse.errors import ConfigMismatch, EmptyDataset, EmptySpace
+from cascadefuse.errors import ConfigMismatch, EmptyDataset, EmptySpace, UnknownLabel
 from cascadefuse.features import USER_DIM, FeatureBundle, SparseVec
 from cascadefuse.layers import (
     HiddenSequence,
@@ -342,6 +342,18 @@ def test_evaluate_empty():
     cfg = ModelConfig(variant="full", **TOY)
     with pytest.raises(EmptyDataset):
         evaluate([], init_params(cfg), cfg)
+
+
+@pytest.mark.parametrize("step", ["train", "evaluate"])
+def test_label_outside_the_label_set_is_unknown(step):
+    cfg = ModelConfig(variant="full", max_epochs=1, **TOY)
+    data = make_dataset(4)
+    data[1] = dataclasses.replace(data[1], label="unverified")
+    with pytest.raises(UnknownLabel, match=r"'unverified'.*\['true', 'fake'\]"):
+        if step == "train":
+            train(data[:3], data[3:], cfg)
+        else:
+            evaluate(data, init_params(cfg), cfg)
 
 
 def test_evaluate_consistency_of_report():

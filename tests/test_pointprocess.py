@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cascadefuse.cascade import NewsStory, Post
-from cascadefuse.data import generate_synthetic
+from cascadefuse.data import SyntheticProfile, generate_synthetic
 from cascadefuse.errors import (
     EmptyGrid,
     CascadeFuseError,
+    ExplodingCascade,
     InvalidInterval,
     InvalidValue,
     NonPositiveDelay,
@@ -21,6 +22,7 @@ from cascadefuse.errors import (
 )
 from cascadefuse.pointprocess import (
     DEFAULT_C,
+    SECONDS_PER_HOUR,
     InfectiousnessSeries,
     KernelParams,
     default_grid,
@@ -32,6 +34,7 @@ from cascadefuse.pointprocess import (
     post_count_series,
     simulate_hawkes,
     triangular_kernel,
+    _excitation,
 )
 
 P = KernelParams()
@@ -374,6 +377,66 @@ def test_simulate_deterministic():
     b = simulate_hawkes(lambda h: 0.5, lambda r: r.poisson(1.0), 86400.0, seed=9,
                         source_followers=30.0)
     assert a == b
+
+
+def reference_simulate_hawkes(s_h_profile, follower_sampler, horizon, seed,
+                              source_followers=None):
+    """Ogata thinning with the events in lists, rebuilt as arrays after each
+    accepted event."""
+    rng = np.random.default_rng(seed)
+    n0 = follower_sampler(rng) if source_followers is None else source_followers
+    times, followers = [0.0], [float(n0)]
+    times_arr, foll_arr = np.array(times), np.array(followers)
+    t = 0.0
+    while t < horizon:
+        hist = _excitation(times_arr, foll_arr, t, P)
+        w_end = min(t + 60.0, horizon)
+        grid = np.linspace(t, w_end, 5) / SECONDS_PER_HOUR
+        bound = max(float(s_h_profile(h)) for h in grid) * hist
+        if bound <= 0:
+            t = w_end
+            continue
+        wait = rng.exponential(1.0 / bound)
+        if t + wait > w_end:
+            t = w_end
+            continue
+        t = t + wait
+        lam = float(s_h_profile(t / SECONDS_PER_HOUR)) * _excitation(times_arr, foll_arr, t, P)
+        if rng.uniform() <= lam / bound:
+            times.append(t)
+            followers.append(float(follower_sampler(rng)))
+            times_arr, foll_arr = np.array(times), np.array(followers)
+    return list(zip(times, followers))
+
+
+SPEC = SyntheticProfile()
+PROFILES = {"real": SPEC.real, "fake": SPEC.fake, "constant": lambda h: 0.8}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_simulate_matches_list_reference(profile):
+    s_h = PROFILES[profile]
+    for seed in range(6):
+        story = simulate_hawkes(s_h, lambda r: r.poisson(1.0), 172800.0, seed=seed,
+                                source_followers=SPEC.source_followers)
+        want = reference_simulate_hawkes(s_h, lambda r: r.poisson(1.0), 172800.0, seed=seed,
+                                         source_followers=SPEC.source_followers)
+        got = [(p.t, p.followers) for p in story.posts]
+        assert got == want, (profile, seed)
+        assert all(type(v) is float for row in got for v in row)
+
+
+def test_simulate_max_events_is_the_largest_cascade_allowed():
+    def run(**kw):
+        return simulate_hawkes(lambda h: 0.8, lambda r: r.poisson(1.0), 21600.0, seed=2,
+                               source_followers=40.0, **kw)
+
+    story = run()
+    n = len(story.posts)
+    assert n > 10
+    assert run(max_events=n) == story
+    with pytest.raises(ExplodingCascade):
+        run(max_events=n - 1)
 
 
 def test_simulate_subcritical_branching_mean():
