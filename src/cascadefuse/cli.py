@@ -3,10 +3,10 @@
 Subcommands: validate, simulate, generate-synthetic, infectiousness,
 train, eval, ablate, sweep, import.
 
-`train` writes one checkpoint: the parameters (.npz) and a JSON manifest
-with the model config, the tf-idf vocabulary, the user and temporal
-scalers and the label set. `eval` scores with exactly those, whatever
-dataset it is given.
+`train` writes one checkpoint with model.save_checkpoint: the parameters
+(.npz) and a JSON manifest with the model config, the tf-idf vocabulary,
+the user and temporal scalers and the label set. `eval` scores with exactly
+those, whatever dataset it is given.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from . import data as dat
 from . import features as feat
 from . import model as mdl
 from . import pointprocess as pp
-from .errors import CascadeFuseError, ConfigMismatch
-from .layers import load_checkpoint, save_checkpoint
+from .errors import CascadeFuseError, ConfigMismatch, TooFewStories
 
 
 def cmd_validate(args):
@@ -49,12 +48,8 @@ def cmd_simulate(args):
 def cmd_generate_synthetic(args):
     spec = dat.SyntheticProfile(shared_text=args.shared_text,
                                 horizon_days=args.horizon_days)
-    manifest = dat.generate_synthetic(args.n_per_class, seed=args.seed,
-                                      profile_spec=spec)
-    try:
-        manifest = dat.split_dataset(manifest, seed=args.seed)
-    except CascadeFuseError:
-        manifest = dat.split_dataset(manifest, seed=args.seed, stratified=False)
+    manifest = _split(dat.generate_synthetic(args.n_per_class, seed=args.seed,
+                                             profile_spec=spec), args.seed)
     dat.save_dataset(manifest, args.out)
     with open(str(args.out) + ".split.json", "w", encoding="utf-8") as f:
         json.dump(manifest.split, f, indent=0, sort_keys=True)
@@ -75,13 +70,23 @@ def cmd_infectiousness(args):
     return 0
 
 
+def _split(manifest, seed: int):
+    """Every command's split: stratified by label, or over all stories when a
+    label has fewer than the 3 stories a stratified split needs."""
+    try:
+        return dat.split_dataset(manifest, seed=seed)
+    except TooFewStories:
+        return dat.split_dataset(manifest, seed=seed, stratified=False)
+
+
 def _load_split(args, manifest):
-    split_path = getattr(args, "split", None) or str(args.input) + ".split.json"
+    """The split of --split, else of the input's .split.json, else _split's."""
+    split_path = args.split or str(args.input) + ".split.json"
     if os.path.exists(split_path):
         with open(split_path, encoding="utf-8") as f:
             manifest.split = json.load(f)
     else:
-        manifest = dat.split_dataset(manifest, seed=getattr(args, "seed", 0) or 0)
+        manifest = _split(manifest, args.seed or 0)
     return manifest
 
 
@@ -128,12 +133,7 @@ def cmd_train(args):
                                  scaler, config)
     params, history, tscaler = mdl.train(bundles["train"], bundles["val"], config,
                                          label_set=manifest.label_set)
-    save_checkpoint(args.out, params, manifest={
-        "config": dataclasses.asdict(config),
-        "vocabulary": {"terms": list(vocab.terms), "idf": vocab.idf.tolist()},
-        "user_scaler": {"means": scaler.means.tolist(), "stds": scaler.stds.tolist()},
-        "temporal_scaler": {"mean": tscaler.mean, "std": tscaler.std},
-        "label_set": list(manifest.label_set)})
+    mdl.save_checkpoint(args.out, params, config, vocab, scaler, tscaler, manifest.label_set)
     with open(str(args.out) + ".history.json", "w", encoding="utf-8") as f:
         json.dump(history.to_dict(), f, indent=2)
     print(f"trained {config.variant}: best epoch {history.best_epoch}, "
@@ -143,22 +143,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     manifest = _load_split(args, dat.load_dataset(args.input))
-    values, meta = load_checkpoint(args.checkpoint)
-    try:
-        config = mdl.ModelConfig(**meta["config"])
-        vocab = feat.Vocabulary(terms=tuple(meta["vocabulary"]["terms"]),
-                                idf=meta["vocabulary"]["idf"])
-        scaler = feat.UserScaler(**meta["user_scaler"])
-        tscaler = mdl.TemporalScaler(**meta["temporal_scaler"])
-        label_set = tuple(meta["label_set"])
-        if len(label_set) != config.tau:
-            raise ConfigMismatch(f"{len(label_set)} labels but tau {config.tau}")
-        params = mdl.init_params(config)
-        params.load_values(values)
-    except KeyError as e:
-        raise ConfigMismatch(f"checkpoint {args.checkpoint}: missing key {e}") from None
-    except (TypeError, ValueError, CascadeFuseError) as e:
-        raise ConfigMismatch(f"checkpoint {args.checkpoint}: {e}") from None
+    params, config, vocab, scaler, tscaler, label_set = mdl.load_checkpoint(args.checkpoint)
     test = {"test": manifest.by_split().get("test", [])}
     report = mdl.evaluate(feat.build_bundles(test, vocab, scaler, config)["test"], params,
                           config, label_set=label_set, scaler=tscaler)
@@ -170,14 +155,10 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     manifest, splits, vocab, scaler, base = _prepare(args)
+    configs = [dataclasses.replace(base, variant=variant) for variant in feat.VARIANTS]
+    reports = mdl.train_and_test(splits, vocab, scaler, configs, manifest.label_set)
     out = {}
-    for variant in feat.VARIANTS:
-        config = dataclasses.replace(base, variant=variant)
-        bundles = feat.build_bundles(splits, vocab, scaler, config)
-        params, _, tscaler = mdl.train(bundles.get("train", []), bundles.get("val", []),
-                                       config, label_set=manifest.label_set)
-        report = mdl.evaluate(bundles.get("test", []), params, config,
-                              label_set=manifest.label_set, scaler=tscaler)
+    for variant, report in zip(feat.VARIANTS, reports):
         out[variant] = report.to_dict()
         print(f"{variant}: accuracy {report.accuracy:.4f}")
     with open(args.out, "w", encoding="utf-8") as f:

@@ -26,9 +26,11 @@ from .cascade import (
     validate_story,
 )
 from .errors import CascadeFuseError, MixedLabelSets, ParseError, TooFewStories
-from .pointprocess import KernelParams, DEFAULT_PARAMS, simulate_hawkes
+from .pointprocess import simulate_hawkes
 
 SECONDS_PER_DAY = 86400.0
+TEST_FRAC = 0.25  # of all stories, held out for test (3:1)
+VAL_FRAC = 0.15   # of the rest, moved to validation
 
 
 @dataclass
@@ -36,7 +38,6 @@ class DatasetManifest:
     stories: list[NewsStory]
     label_set: tuple[str, ...]
     split: dict[str, str] = field(default_factory=dict)  # story id -> train/val/test
-    seed: int | None = None
 
     def by_split(self) -> dict[str, list[NewsStory]]:
         out: dict[str, list[NewsStory]] = defaultdict(list)
@@ -115,11 +116,10 @@ def save_dataset(manifest: DatasetManifest, path) -> None:
             f.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def split_dataset(manifest: DatasetManifest, test_frac: float = 0.25,
-                  val_frac: float = 0.15, seed: int = 0,
+def split_dataset(manifest: DatasetManifest, seed: int = 0,
                   stratified: bool = True) -> DatasetManifest:
-    """Seeded split: test_frac held out (3:1 default), then val_frac of the
-    remaining training portion moved to validation; optionally per-label."""
+    """Seeded split: TEST_FRAC held out, then VAL_FRAC of the remaining
+    training portion moved to validation; optionally per-label."""
     rng = np.random.default_rng(seed)
     groups: dict[str, list[NewsStory]]
     if stratified:
@@ -139,9 +139,9 @@ def split_dataset(manifest: DatasetManifest, test_frac: float = 0.25,
     for _, items in sorted(groups.items()):
         order = rng.permutation(len(items))
         n = len(items)
-        n_test = round(test_frac * n)
+        n_test = round(TEST_FRAC * n)
         n_trainval = n - n_test
-        n_val = round(val_frac * n_trainval)
+        n_val = round(VAL_FRAC * n_trainval)
         for rank, idx in enumerate(order):
             if rank < n_test:
                 split[items[idx].id] = "test"
@@ -150,7 +150,7 @@ def split_dataset(manifest: DatasetManifest, test_frac: float = 0.25,
             else:
                 split[items[idx].id] = "train"
     return DatasetManifest(stories=list(manifest.stories), label_set=manifest.label_set,
-                           split=split, seed=seed)
+                           split=split)
 
 
 # --- synthetic generation ---
@@ -184,8 +184,8 @@ class SyntheticProfile:
         return min(self.base * math.exp(-h / self.decay_hours) + bump, 1.0)
 
 
-def _sample_text(rng, tokens, n_words=8):
-    return " ".join(rng.choice(tokens, size=n_words))
+def _sample_text(rng, tokens):
+    return " ".join(rng.choice(tokens, size=8))
 
 
 def _sample_profile(rng) -> UserProfile:
@@ -202,8 +202,7 @@ def _sample_profile(rng) -> UserProfile:
 
 
 def generate_synthetic(n_per_class: int, seed: int = 0,
-                       profile_spec: SyntheticProfile | None = None,
-                       kernel: KernelParams = DEFAULT_PARAMS) -> DatasetManifest:
+                       profile_spec: SyntheticProfile | None = None) -> DatasetManifest:
     """Fully seeded synthetic dataset: single-bump (real) vs double-bump (fake)
     cascades with overlapping text/user distributions."""
     spec = profile_spec or SyntheticProfile()
@@ -216,7 +215,7 @@ def generate_synthetic(n_per_class: int, seed: int = 0,
             sim_seed = int(rng.integers(0, 2**31))
             cascade = simulate_hawkes(
                 s_h, lambda r: r.poisson(spec.follower_mean), horizon,
-                seed=sim_seed, params=kernel,
+                seed=sim_seed,
                 source_followers=spec.source_followers,
                 story_id=f"{label}-{k}", label=label)
             if spec.shared_text:
@@ -229,7 +228,7 @@ def generate_synthetic(n_per_class: int, seed: int = 0,
                      user=_sample_profile(rng))
                 for p in cascade.posts)
             stories.append(NewsStory(id=cascade.id, label=label, posts=posts))
-    return DatasetManifest(stories=stories, label_set=BINARY_LABELS, seed=seed)
+    return DatasetManifest(stories=stories, label_set=BINARY_LABELS)
 
 
 # --- best-effort import of the public tree-layout releases ---

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import operator
@@ -77,14 +78,9 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.terms)
 
-    @property
+    @functools.cached_property
     def index(self) -> dict[str, int]:
-        # cached lazily on first access
-        idx = self.__dict__.get("_index")
-        if idx is None:
-            idx = {t: i for i, t in enumerate(self.terms)}
-            self.__dict__["_index"] = idx
-        return idx
+        return {t: i for i, t in enumerate(self.terms)}
 
 
 def build_vocabulary(corpus: list[NewsStory], K: int = 5000) -> Vocabulary:

@@ -4,7 +4,6 @@ FC, CIM attention, cross-entropy, and the AdaDelta update."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -65,10 +64,9 @@ class ParameterSet(dict):
             self[k].data = v.copy()
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None):
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    shape = (fan_in, fan_out) if shape is None else shape
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def fc(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
@@ -264,16 +262,10 @@ def _gru_group(Xs, reals, weights, paper: bool) -> list[Tensor]:
     return [rows(p) for p in range(P)]
 
 
-def gru_sequence(X: Tensor, mask: np.ndarray, U_z, W_z, U_r, W_r, U_h, W_h,
-                 form: str = "paper") -> HiddenSequence:
-    """gru_lockstep of one path: a (T, D) input as one tape node."""
-    return gru_lockstep([(X, mask, (U_z, W_z, U_r, W_r, U_h, W_h))], form=form)[0]
-
-
-def gru_unroll(inputs: list[Tensor], mask: np.ndarray, U_z, W_z, U_r, W_r, U_h, W_h,
+def gru_unroll(inputs: list[Tensor], mask: np.ndarray, *weights,
                form: str = "paper") -> HiddenSequence:
-    """gru_sequence over a list of 1-D step inputs."""
-    return gru_sequence(ad.stack_rows(inputs), mask, U_z, W_z, U_r, W_r, U_h, W_h, form=form)
+    """gru_lockstep of one path: 1-D step inputs, their mask and gru_step's six weights."""
+    return gru_lockstep([(ad.stack_rows(inputs), mask, weights)], form=form)[0]
 
 
 def cim_attention(H_l: HiddenSequence, H_u: HiddenSequence):
@@ -333,34 +325,3 @@ def adadelta_step(params: ParameterSet, rho: float = 0.95, eps: float = 1e-6):
         p.data[rows] += delta
     params.zero_grad()
 
-
-CHECKPOINT_VERSION = 3
-
-
-def save_checkpoint(path, params: ParameterSet, manifest: dict | None = None):
-    """Write parameters as an .npz of float64 arrays plus a JSON manifest."""
-    path = str(path)
-    np.savez(path if path.endswith(".npz") else path + ".npz",
-             **{k: p.data for k, p in params.items()})
-    meta = {"version": CHECKPOINT_VERSION,
-            "shapes": {k: list(p.data.shape) for k, p in params.items()}}
-    meta.update(manifest or {})
-    base = path[:-4] if path.endswith(".npz") else path
-    with open(base + ".json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2)
-
-
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    path = str(path)
-    base = path[:-4] if path.endswith(".npz") else path
-    with open(base + ".json", encoding="utf-8") as f:
-        try:
-            meta = json.load(f)
-        except ValueError as e:  # not JSON, or not UTF-8
-            raise ConfigMismatch(f"checkpoint {base}.json is not valid JSON: {e}") from None
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise ConfigMismatch(f"unsupported checkpoint version {meta.get('version')!r}"
-                             f" (expected {CHECKPOINT_VERSION})")
-    with np.load(base + ".npz") as npz:
-        values = {k: npz[k] for k in npz.files}
-    return values, meta

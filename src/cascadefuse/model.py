@@ -1,17 +1,19 @@
 """The fused classifier: three GRU encoder paths, inter-modal attention,
 max-pool concatenation, and a two-layer softmax head, with training,
-evaluation, grid search, and the time-frame sweep."""
+evaluation, grid search, the time-frame sweep, and the checkpoint format."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigMismatch, EmptyDataset, EmptySpace, UnknownLabel
-from .features import USER_DIM, BundleConfig, FeatureBundle, build_bundles
+from .cascade import BINARY_LABELS
+from .errors import CascadeFuseError, ConfigMismatch, EmptyDataset, EmptySpace, UnknownLabel
+from .features import USER_DIM, BundleConfig, FeatureBundle, UserScaler, Vocabulary, build_bundles
 from .layers import (
     GRU_FORMS,
     HiddenSequence,
@@ -51,9 +53,10 @@ class ModelConfig(BundleConfig):
             raise ConfigMismatch(f"unknown GRU form {self.gru_form!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigMismatch(f"dropout {self.dropout!r} outside [0, 1)")
-        for name in ("max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise ConfigMismatch(f"{name} {getattr(self, name)!r} must be at least 1")
+        for name in ("max_epochs", "patience", "embed_dim", "E_l", "E_u", "E_s", "f2_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:  # f2_dim None stands for E_con
+                raise ConfigMismatch(f"{name} {value!r} must be at least 1")
         if self.vocab_size < 0:  # 0 is legal: tree imports carry no text
             raise ConfigMismatch(f"vocab_size {self.vocab_size!r} must not be negative")
 
@@ -223,7 +226,7 @@ def _label_index(label: str, label_set) -> int:
 
 
 def train(train_bundles: list[FeatureBundle], val_bundles: list[FeatureBundle],
-          config: ModelConfig, label_set=("true", "fake")):
+          config: ModelConfig, label_set=BINARY_LABELS):
     """Per-story AdaDelta training with early stopping on validation loss.
 
     Returns the best-validation-epoch parameters and the loss history.
@@ -283,7 +286,7 @@ def f1_scores(confusion: np.ndarray, label_set) -> dict[str, float]:
 
 
 def evaluate(test_bundles: list[FeatureBundle], params: ParameterSet,
-             config: ModelConfig, label_set=("true", "fake"),
+             config: ModelConfig, label_set=BINARY_LABELS,
              scaler: TemporalScaler | None = None) -> EvalReport:
     """Argmax predictions; accuracy, per-class F1 and confusion counts."""
     if not test_bundles:
@@ -306,7 +309,7 @@ def evaluate(test_bundles: list[FeatureBundle], params: ParameterSet,
 
 
 def grid_search(train_bundles, val_bundles, candidates: list[ModelConfig],
-                label_set=("true", "fake"), quick_epochs: int | None = 50):
+                label_set=BINARY_LABELS, quick_epochs: int | None = 50):
     """Train each candidate (optionally with a reduced epoch cap), pick the
     best validation accuracy; ties broken by lower val loss, then smaller E_con."""
     if not candidates:
@@ -324,22 +327,74 @@ def grid_search(train_bundles, val_bundles, candidates: list[ModelConfig],
     return best, log
 
 
-def timeframe_sweep(stories_by_split, vocab, user_scaler, days: list[int],
-                    config: ModelConfig, label_set=("true", "fake")):
-    """Re-featurize and retrain for each time frame; day 0 is the no_time variant.
-
-    stories_by_split maps {"train": [...], "val": [...], "test": [...]}.
-    Returns a list of (days, accuracy) pairs.
-    """
-    rows = []
-    for d in days:
-        if d == 0:
-            cfg = replace(config, variant="no_time")
-        else:
-            cfg = replace(config, temporal_len=24 * d - 1)
-        bundles = build_bundles(stories_by_split, vocab, user_scaler, cfg)
-        params, _, scaler = train(bundles.get("train", []), bundles.get("val", []), cfg,
+def train_and_test(stories_by_split, vocab: Vocabulary, user_scaler: UserScaler,
+                   configs, label_set=BINARY_LABELS):
+    """For each config in turn: featurize stories_by_split ({"train": [...], "val":
+    [...], "test": [...]}), train on train and val, and yield the test EvalReport."""
+    for config in configs:
+        bundles = build_bundles(stories_by_split, vocab, user_scaler, config)
+        params, _, scaler = train(bundles.get("train", []), bundles.get("val", []), config,
                                   label_set)
-        report = evaluate(bundles.get("test", []), params, cfg, label_set, scaler=scaler)
-        rows.append((d, report.accuracy))
-    return rows
+        yield evaluate(bundles.get("test", []), params, config, label_set, scaler=scaler)
+
+
+def timeframe_sweep(stories_by_split, vocab, user_scaler, days: list[int],
+                    config: ModelConfig, label_set=BINARY_LABELS):
+    """train_and_test for each time frame, day 0 being the no_time variant;
+    returns a list of (days, accuracy) pairs."""
+    configs = [replace(config, variant="no_time") if d == 0
+               else replace(config, temporal_len=24 * d - 1) for d in days]
+    reports = train_and_test(stories_by_split, vocab, user_scaler, configs, label_set)
+    return [(d, report.accuracy) for d, report in zip(days, reports)]
+
+
+CHECKPOINT_VERSION = 3
+
+
+def save_checkpoint(path, params: ParameterSet, config: ModelConfig, vocab: Vocabulary,
+                    user_scaler: UserScaler, temporal_scaler: TemporalScaler, label_set):
+    """Write the parameters as an .npz of float64 arrays, and everything else
+    scoring needs as a JSON manifest beside it."""
+    base = str(path).removesuffix(".npz")  # m and m.npz both name m.npz + m.json
+    np.savez(base + ".npz", **{k: p.data for k, p in params.items()})
+    meta = {"version": CHECKPOINT_VERSION,
+            "config": asdict(config),
+            "vocabulary": {"terms": list(vocab.terms), "idf": vocab.idf.tolist()},
+            "user_scaler": {"means": user_scaler.means.tolist(),
+                            "stds": user_scaler.stds.tolist()},
+            "temporal_scaler": {"mean": temporal_scaler.mean, "std": temporal_scaler.std},
+            "label_set": list(label_set)}
+    with open(base + ".json", "w", encoding="utf-8") as f:
+        json.dump(meta, f, indent=2)
+
+
+def load_checkpoint(path):
+    """save_checkpoint's (params, config, vocabulary, user scaler, temporal scaler,
+    label set); ConfigMismatch if the manifest is malformed or does not fit the .npz."""
+    base = str(path).removesuffix(".npz")  # m and m.npz both name m.npz + m.json
+    with open(base + ".json", encoding="utf-8") as f:
+        try:
+            meta = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise ConfigMismatch(f"checkpoint {base}.json is not valid JSON: {e}") from None
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ConfigMismatch(f"unsupported checkpoint version {meta.get('version')!r}"
+                             f" (expected {CHECKPOINT_VERSION})")
+    with np.load(base + ".npz") as npz:
+        values = {k: npz[k] for k in npz.files}
+    try:
+        config = ModelConfig(**meta["config"])
+        vocab = Vocabulary(terms=tuple(meta["vocabulary"]["terms"]),
+                           idf=meta["vocabulary"]["idf"])
+        user_scaler = UserScaler(**meta["user_scaler"])
+        temporal_scaler = TemporalScaler(**meta["temporal_scaler"])
+        label_set = tuple(meta["label_set"])
+        if len(label_set) != config.tau:
+            raise ConfigMismatch(f"{len(label_set)} labels but tau {config.tau}")
+        params = init_params(config)
+        params.load_values(values)
+    except KeyError as e:
+        raise ConfigMismatch(f"checkpoint {path}: missing key {e}") from None
+    except (TypeError, ValueError, CascadeFuseError) as e:
+        raise ConfigMismatch(f"checkpoint {path}: {e}") from None
+    return params, config, vocab, user_scaler, temporal_scaler, label_set

@@ -33,6 +33,7 @@ DEFAULT_THETA = 0.242
 
 SECONDS_PER_HOUR = 3600.0
 LOOKAHEAD = 60.0  # seconds; the simulator holds its intensity bound over this window
+EVENT_ROWS = 256  # the simulator's first event buffer; it doubles when full
 
 
 @dataclass(frozen=True)
@@ -262,9 +263,10 @@ def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
     rng = np.random.default_rng(seed)
     n0 = follower_sampler(rng) if source_followers is None else source_followers
     # one event buffer, written in place: the source, the accepted events and
-    # the one past max_events that raises
-    times = np.zeros(max_events + 1)
-    followers = np.zeros(max_events + 1)
+    # the one past max_events that raises. It starts small and doubles when
+    # full, since most cascades hold a few hundred events, far below max_events.
+    times = np.zeros(min(EVENT_ROWS, max_events + 1))
+    followers = np.zeros(times.size)
     followers[0] = n0
     n = 1
     t = 0.0
@@ -285,6 +287,9 @@ def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
         lam = (float(s_h_profile(t / SECONDS_PER_HOUR))
                * _excitation(times[:n], followers[:n], t, params))
         if rng.uniform() <= lam / bound:
+            if n == times.size:  # full: double it, up to max_events + 1 rows
+                more = np.zeros(min(n, max_events + 1 - n))
+                times, followers = np.concatenate([times, more]), np.concatenate([followers, more])
             times[n] = t
             followers[n] = follower_sampler(rng)
             n += 1

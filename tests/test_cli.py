@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shutil
@@ -5,11 +6,23 @@ import shutil
 import numpy as np
 import pytest
 
-from cascadefuse.cli import run_command
-from cascadefuse.data import SyntheticProfile, generate_synthetic, save_dataset, split_dataset
-from cascadefuse.features import BundleConfig, build_bundle, build_vocabulary, fit_user_scaler
-from cascadefuse.layers import load_checkpoint
-from cascadefuse.model import ModelConfig, TemporalScaler, evaluate, init_params
+from cascadefuse.cli import _load_split, run_command
+from cascadefuse.data import (
+    SyntheticProfile,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+    split_dataset,
+)
+from cascadefuse.features import (
+    VARIANTS,
+    BundleConfig,
+    build_bundle,
+    build_bundles,
+    build_vocabulary,
+    fit_user_scaler,
+)
+from cascadefuse.model import ModelConfig, evaluate, load_checkpoint, train
 
 
 def synthetic(seed, **profile):
@@ -134,14 +147,10 @@ def test_eval_on_other_dataset_uses_checkpoint_featurizer(tiny_dataset, tmp_path
     vocab, scaler = build_vocabulary(train), fit_user_scaler(train)
     # a refit on the eval input would index the terms differently
     assert build_vocabulary(other.by_split()["train"]).terms != vocab.terms
-    values, meta = load_checkpoint(ckpt)
-    config = ModelConfig(**meta["config"])
-    params = init_params(config)
-    params.load_values(values)
+    params, config, _, _, temporal_scaler, _ = load_checkpoint(ckpt)
     bundles = [build_bundle(s, vocab, scaler, BundleConfig(seq_len=10))
                for s in other.by_split()["test"]]
-    want = evaluate(bundles, params, config,
-                    scaler=TemporalScaler(**meta["temporal_scaler"]))
+    want = evaluate(bundles, params, config, scaler=temporal_scaler)
     assert json.load(open(report)) == json.loads(json.dumps(want.to_dict()))
 
 
@@ -213,6 +222,8 @@ def test_eval_rejects_version_2_checkpoint(tiny_dataset, trained, tmp_path, caps
     (lambda m: m["vocabulary"]["idf"].pop(), "terms and idf lengths differ"),
     (lambda m: m["config"].update(variant="bogus"), "unknown variant 'bogus'"),
     (lambda m: m["label_set"].append("unverified"), "3 labels but tau 2"),
+    (lambda m: m["config"].update(E_s=0), "E_s 0 must be at least 1"),
+    (lambda m: m["config"].update(E_l=-1, E_u=-1), "E_l -1 must be at least 1"),
 ])
 def test_eval_rejects_malformed_manifest(tiny_dataset, trained, tmp_path, capsys,
                                          edit, message):
@@ -339,6 +350,11 @@ def test_train_without_val_split_is_an_error(tmp_path, capsys):
     ({"gru_form": "bogus"}, "error: unknown GRU form 'bogus'"),
     ({"dropout": 1.0}, "error: dropout 1.0 outside [0, 1)"),
     ({"dropout": -0.1}, "error: dropout -0.1 outside [0, 1)"),
+    ({"E_l": -1, "E_u": -1}, "error: E_l -1 must be at least 1"),
+    ({"E_s": 0}, "error: E_s 0 must be at least 1"),
+    ({"E_l": 0, "E_u": 0}, "error: E_l 0 must be at least 1"),
+    ({"embed_dim": 0}, "error: embed_dim 0 must be at least 1"),
+    ({"f2_dim": 0}, "error: f2_dim 0 must be at least 1"),
 ])
 def test_train_rejects_invalid_model_config(tiny_dataset, tmp_path, capsys, values, message):
     cfg = tmp_path / "cfg.json"
@@ -370,6 +386,61 @@ def test_eval_rejects_model_options(tiny_dataset, tmp_path):
         run_command(["eval", "--input", str(tiny_dataset), "--checkpoint", str(tmp_path / "m"),
                      "--out", str(tmp_path / "r.json"), "--variant", "no_time"])
     assert exc.value.code == 2
+
+
+def test_checkpoint_named_with_npz_suffix(tiny_dataset, trained, tmp_path):
+    # --out m.npz and --checkpoint m.npz name the same m.npz + m.json pair as m
+    ckpt = tmp_path / "m.npz"
+    assert run_command(["train", "--input", str(tiny_dataset), "--out", str(ckpt),
+                        "--max-epochs", "1", "--seq-len", "5"]) == 0
+    for suffix in (".npz", ".json"):
+        assert (tmp_path / f"m{suffix}").read_bytes() == open(f"{trained}{suffix}", "rb").read()
+    assert not (tmp_path / "m.npz.npz").exists() and not (tmp_path / "m.npz.json").exists()
+    reports = []
+    for name in (ckpt, tmp_path / "m", trained):
+        report = tmp_path / f"r{len(reports)}.json"
+        assert run_command(["eval", "--input", str(tiny_dataset), "--checkpoint", str(name),
+                            "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_split_without_sidecar_follows_generate_synthetic(trained, tmp_path):
+    # 2 stories per label are too few for a stratified split; without a
+    # .split.json, eval splits the way generate-synthetic did
+    data = tmp_path / "syn.jsonl"
+    assert run_command(["generate-synthetic", "--n-per-class", "2", "--seed", "5",
+                        "--out", str(data)]) == 0
+    bare = tmp_path / "bare.jsonl"
+    shutil.copy(data, bare)
+    written = json.load(open(str(data) + ".split.json"))
+    args = argparse.Namespace(input=str(bare), split=None, seed=5)
+    assert _load_split(args, load_dataset(bare)).split == written
+    reports = []
+    for path in (data, bare):
+        report = tmp_path / f"{path.stem}.report.json"
+        assert run_command(["eval", "--input", str(path), "--seed", "5", "--checkpoint",
+                            str(trained), "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_ablate_json(tiny_dataset, tmp_path, capsys):
+    out = tmp_path / "ablate.json"
+    assert run_command(["ablate", "--input", str(tiny_dataset), "--out", str(out),
+                        "--max-epochs", "2", "--seq-len", "10"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    splits = synthetic(3).by_split()
+    vocab, scaler = build_vocabulary(splits["train"]), fit_user_scaler(splits["train"])
+    want = {}
+    for variant in VARIANTS:  # the oracle: featurize, train and score each variant in turn
+        config = ModelConfig(variant=variant, seq_len=10, max_epochs=2, vocab_size=vocab.size)
+        bundles = build_bundles(splits, vocab, scaler, config)
+        params, _, temporal_scaler = train(bundles["train"], bundles["val"], config)
+        want[variant] = evaluate(bundles["test"], params, config,
+                                 scaler=temporal_scaler).to_dict()
+    assert json.load(open(out)) == json.loads(json.dumps(want))
+    assert printed == [f"{v}: accuracy {want[v]['accuracy']:.4f}" for v in VARIANTS]
 
 
 def test_sweep_csv(tiny_dataset, tmp_path):

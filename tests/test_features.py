@@ -19,7 +19,6 @@ from cascadefuse.features import (
     USER_DIM,
     BundleConfig,
     UserScaler,
-    Vocabulary,
     build_bundle,
     build_bundles,
     build_vocabulary,
@@ -28,8 +27,7 @@ from cascadefuse.features import (
     user_vector,
     vectorize_post,
 )
-from cascadefuse.layers import load_checkpoint
-from cascadefuse.model import ModelConfig
+from cascadefuse.model import ModelConfig, load_checkpoint
 from cascadefuse.pointprocess import DEFAULT_PARAMS
 
 
@@ -329,10 +327,7 @@ def test_featurizer_roundtrip(tmp_path):
         json.dump(m.split, f)
     assert run_command(["train", "--input", str(data), "--out", str(tmp_path / "model"),
                         "--max-epochs", "1", "--seq-len", "5"]) == 0
-    _, meta = load_checkpoint(tmp_path / "model")
-    vocab2 = Vocabulary(terms=tuple(meta["vocabulary"]["terms"]),
-                        idf=meta["vocabulary"]["idf"])
-    scaler2 = UserScaler(**meta["user_scaler"])
+    _, _, vocab2, scaler2, _, _ = load_checkpoint(tmp_path / "model")
 
     train = m.by_split()["train"]
     vocab, scaler = build_vocabulary(train), fit_user_scaler(train)

@@ -22,11 +22,8 @@ from cascadefuse.layers import (
     fc,
     glorot,
     gru_lockstep,
-    gru_sequence,
     gru_step,
     gru_unroll,
-    load_checkpoint,
-    save_checkpoint,
 )
 
 rng = np.random.default_rng(1)
@@ -45,6 +42,11 @@ def make_gru_weights(I, E, seed=2):
 
 def gru_args(w):
     return (w["Uz"], w["Wz"], w["Ur"], w["Wr"], w["Uh"], w["Wh"])
+
+
+def gru_sequence(X, mask, *weights, form="paper"):
+    """gru_lockstep of one (T, D) input path."""
+    return gru_lockstep([(X, mask, weights)], form)[0]
 
 
 # --- fc ---
@@ -150,7 +152,7 @@ def test_unroll_padded_positions_zero_and_frozen():
     assert np.allclose(seq.states.data[:2], short.states.data)
 
 
-# --- gru_sequence vs the gru_step tape ---
+# --- one-path gru_lockstep (gru_sequence) vs the gru_step tape ---
 
 def gru_chain(X, mask, *weights, form="paper"):
     """The tape oracle: one gru_step per real row of X, each reading its row
@@ -558,20 +560,7 @@ def test_row_sparse_adadelta_allocates_less_than_one_dense_embedding():
     assert peak < E.data.nbytes
 
 
-# --- checkpoints ---
-
-def test_checkpoint_roundtrip(tmp_path):
-    ps = ParameterSet()
-    ps.add("a", rng.normal(size=(3, 2)))
-    ps.add("b", rng.normal(size=4))
-    path = tmp_path / "ckpt"
-    save_checkpoint(path, ps, manifest={"variant": "full"})
-    values, meta = load_checkpoint(path)
-    assert meta["variant"] == "full"
-    assert meta["shapes"]["a"] == [3, 2]
-    for k in ps:
-        assert np.array_equal(values[k], ps[k].data)
-
+# --- ParameterSet.load_values ---
 
 def test_load_values_requires_the_same_names_and_shapes():
     ps = ParameterSet()

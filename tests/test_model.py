@@ -7,7 +7,14 @@ from cascadefuse import autodiff as ad
 from cascadefuse import model
 from cascadefuse.autodiff import Tensor
 from cascadefuse.errors import ConfigMismatch, EmptyDataset, EmptySpace, UnknownLabel
-from cascadefuse.features import USER_DIM, FeatureBundle, SparseVec
+from cascadefuse.features import (
+    N_COUNTS,
+    USER_DIM,
+    FeatureBundle,
+    SparseVec,
+    UserScaler,
+    Vocabulary,
+)
 from cascadefuse.layers import (
     HiddenSequence,
     ParameterSet,
@@ -24,6 +31,8 @@ from cascadefuse.model import (
     forward,
     grid_search,
     init_params,
+    load_checkpoint,
+    save_checkpoint,
     train,
 )
 
@@ -129,7 +138,8 @@ def test_cim_requires_equal_path_sizes():
 
 @pytest.mark.parametrize("values", [
     {"seq_len": 0}, {"seq_len": -2}, {"temporal_len": 0}, {"max_epochs": 0},
-    {"max_epochs": -1}, {"patience": 0}, {"vocab_size": -1},
+    {"max_epochs": -1}, {"patience": 0}, {"vocab_size": -1}, {"embed_dim": 0},
+    {"E_l": 0, "E_u": 0}, {"E_l": -1, "E_u": -1}, {"E_s": 0}, {"f2_dim": 0}, {"f2_dim": -2},
 ])
 def test_config_rejects_bad_sizes_and_epoch_counts(values):
     with pytest.raises(ConfigMismatch):
@@ -410,3 +420,24 @@ def test_grid_search_prefers_better_validation():
     best, log = grid_search(data[:7], data[7:], cands, quick_epochs=None)
     accs = [entry["val_accuracy"] for entry in log]
     assert accs[0] == max(accs)
+
+
+# --- checkpoints ---
+
+def test_checkpoint_roundtrip(tmp_path):
+    cfg = ModelConfig(variant="full", **TOY)
+    ps = init_params(cfg, seed=4)
+    vocab = Vocabulary(terms=tuple("abcdefgh"), idf=rng.uniform(1, 2, 8))
+    user_scaler = UserScaler(means=rng.normal(size=N_COUNTS), stds=rng.uniform(1, 2, N_COUNTS))
+    temporal_scaler = TemporalScaler(mean=0.25, std=3.0)
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, ps, cfg, vocab, user_scaler, temporal_scaler, ("true", "fake"))
+    params, config, vocab2, user_scaler2, temporal_scaler2, label_set = load_checkpoint(path)
+    assert config == cfg and label_set == ("true", "fake")
+    assert temporal_scaler2 == temporal_scaler
+    assert vocab2.terms == vocab.terms and np.array_equal(vocab2.idf, vocab.idf)
+    assert np.array_equal(user_scaler2.means, user_scaler.means)
+    assert np.array_equal(user_scaler2.stds, user_scaler.stds)
+    assert params.keys() == ps.keys()
+    for k in ps:
+        assert np.array_equal(params[k].data, ps[k].data)

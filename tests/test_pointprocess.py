@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from cascadefuse import pointprocess
 from cascadefuse.cascade import NewsStory, Post
 from cascadefuse.data import SyntheticProfile, generate_synthetic
 from cascadefuse.errors import (
@@ -438,6 +439,21 @@ def test_simulate_max_events_is_the_largest_cascade_allowed():
     with pytest.raises(ExplodingCascade):
         run(max_events=n - 1)
 
+
+
+def test_simulate_event_buffer_growth_keeps_the_cascade(monkeypatch):
+    # from 3 rows the buffer doubles to 6, 12, ... and is capped at max_events + 1
+    def run(**kw):
+        return simulate_hawkes(lambda h: 0.8, lambda r: r.poisson(1.0), 21600.0, seed=2,
+                               source_followers=40.0, **kw)
+
+    story = run()
+    n = len(story.posts)
+    monkeypatch.setattr(pointprocess, "EVENT_ROWS", 3)
+    assert run() == story
+    assert run(max_events=n) == story
+    with pytest.raises(ExplodingCascade):
+        run(max_events=n - 1)
 
 def test_simulate_subcritical_branching_mean():
     # expected children of the seed: s_h * n0 * int_0^H phi; each later event
