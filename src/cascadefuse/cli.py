@@ -134,7 +134,7 @@ def cmd_train(args):
     params, history, tscaler = mdl.train(bundles["train"], bundles["val"], config,
                                          label_set=manifest.label_set)
     mdl.save_checkpoint(args.out, params, config, vocab, scaler, tscaler, manifest.label_set)
-    with open(str(args.out) + ".history.json", "w", encoding="utf-8") as f:
+    with open(mdl.checkpoint_base(args.out) + ".history.json", "w", encoding="utf-8") as f:
         json.dump(history.to_dict(), f, indent=2)
     print(f"trained {config.variant}: best epoch {history.best_epoch}, "
           f"val loss {min(history.val_loss):.4f} -> {args.out}")

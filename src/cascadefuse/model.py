@@ -351,11 +351,16 @@ def timeframe_sweep(stories_by_split, vocab, user_scaler, days: list[int],
 CHECKPOINT_VERSION = 3
 
 
+def checkpoint_base(path) -> str:
+    """The path without a trailing .npz: m and m.npz both name m.npz + m.json."""
+    return str(path).removesuffix(".npz")
+
+
 def save_checkpoint(path, params: ParameterSet, config: ModelConfig, vocab: Vocabulary,
                     user_scaler: UserScaler, temporal_scaler: TemporalScaler, label_set):
     """Write the parameters as an .npz of float64 arrays, and everything else
     scoring needs as a JSON manifest beside it."""
-    base = str(path).removesuffix(".npz")  # m and m.npz both name m.npz + m.json
+    base = checkpoint_base(path)
     np.savez(base + ".npz", **{k: p.data for k, p in params.items()})
     meta = {"version": CHECKPOINT_VERSION,
             "config": asdict(config),
@@ -371,12 +376,14 @@ def save_checkpoint(path, params: ParameterSet, config: ModelConfig, vocab: Voca
 def load_checkpoint(path):
     """save_checkpoint's (params, config, vocabulary, user scaler, temporal scaler,
     label set); ConfigMismatch if the manifest is malformed or does not fit the .npz."""
-    base = str(path).removesuffix(".npz")  # m and m.npz both name m.npz + m.json
+    base = checkpoint_base(path)
     with open(base + ".json", encoding="utf-8") as f:
         try:
             meta = json.load(f)
         except ValueError as e:  # not JSON, or not UTF-8
             raise ConfigMismatch(f"checkpoint {base}.json is not valid JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise ConfigMismatch(f"checkpoint {base}.json is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ConfigMismatch(f"unsupported checkpoint version {meta.get('version')!r}"
                              f" (expected {CHECKPOINT_VERSION})")

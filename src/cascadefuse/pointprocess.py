@@ -34,6 +34,9 @@ DEFAULT_THETA = 0.242
 SECONDS_PER_HOUR = 3600.0
 LOOKAHEAD = 60.0  # seconds; the simulator holds its intensity bound over this window
 EVENT_ROWS = 256  # the simulator's first event buffer; it doubles when full
+BLOCK_WINDOWS = 4  # the simulator's first block of windows; it doubles while no candidate comes
+BLOCK_CAP = 256  # the most windows in one block
+BLOCK_ELEMENTS = 8192  # cap on windows x events in a block's history pass: 64 KB arrays
 
 
 @dataclass(frozen=True)
@@ -176,9 +179,11 @@ def _posts_arrays(story: NewsStory, t_end: float):
     return posts[posts[:, 0] <= t_end].T
 
 
-def _excitation(times, followers, t: float, params: KernelParams) -> float:
-    """History term sum_i n_i * phi(t - t_i) over posts at or before t."""
-    return float((followers * _phi(np.maximum(t - times, 1e-9), params)).sum())
+def _excitation(times, followers, t, params: KernelParams):
+    """History term sum_i n_i * phi(t - t_i) over posts at or before t; for a
+    1-D array of times, one term per time, in one (len(t), n) pass."""
+    t = np.asarray(t)[..., None]
+    return (followers * _phi(np.maximum(t - times, 1e-9), params)).sum(axis=-1)
 
 
 def intensity(story: NewsStory, s_h: float, t: float,
@@ -188,7 +193,8 @@ def intensity(story: NewsStory, s_h: float, t: float,
         raise TimeBeforeOrigin(f"t must be >= 0, got {t}")
     if not s_h >= 0:  # NaN fails too
         raise InvalidValue("s_h must be non-negative")
-    return IntensityValue(lam=s_h * _excitation(*_posts_arrays(story, t), t, params), at_time=t)
+    return IntensityValue(lam=s_h * float(_excitation(*_posts_arrays(story, t), t, params)),
+                          at_time=t)
 
 
 def _estimate(times, followers, t, params: KernelParams):
@@ -270,23 +276,46 @@ def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
     followers[0] = n0
     n = 1
     t = 0.0
+    m = BLOCK_WINDOWS
 
+    # Windows of LOOKAHEAD seconds, in blocks: one grid, one history pass and
+    # one draw per block, then the first candidate of the block is thinned.
+    # The kernel is non-increasing, so the history term at a window's start
+    # bounds it over the whole window. Until a candidate, a block's windows are
+    # the ones a window-at-a-time loop would take, and its waits are the same
+    # draws: rng.exponential(1 / bound) per window whose bound is above 0.
     while t < horizon:
-        # the excitation kernel is non-increasing, so the history term at the
-        # window start bounds it over the whole window
-        hist = _excitation(times[:n], followers[:n], t, params)
-        w_end = min(t + LOOKAHEAD, horizon)
-        grid = np.linspace(t, w_end, 5) / SECONDS_PER_HOUR
-        s_max = max(float(s_h_profile(h)) for h in grid)
-        bound = s_max * hist
-        wait = math.inf if bound <= 0 else rng.exponential(1.0 / bound)
-        if t + wait > w_end:
-            t = w_end
+        k_max = min(m, BLOCK_CAP, max(1, BLOCK_ELEMENTS // n))
+        edges = [t]
+        while len(edges) <= k_max and edges[-1] < horizon:
+            edges.append(min(edges[-1] + LOOKAHEAD, horizon))
+        starts, ends = np.array(edges[:-1]), np.array(edges[1:])
+        k = starts.size
+        grid = np.linspace(starts, ends, 5) / SECONDS_PER_HOUR  # column j: window j
+        # linspace ends each grid on its stop exactly, so window j's last point
+        # is window j + 1's first: 4k + 1 profile values serve the k windows
+        s_h = np.array([float(s_h_profile(h)) for h in np.append(grid[:4].T, grid[4, -1])])
+        s_max = np.maximum(s_h[:-1].reshape(k, 4).max(axis=1), s_h[4::4])
+        bound = s_max * _excitation(times[:n], followers[:n], starts, params)
+        draw = ~(bound <= 0)  # a bound <= 0 is an infinite wait, with no draw; NaN draws
+        state = rng.bit_generator.state
+        wait = np.full(k, math.inf)
+        # what rng.exponential(1 / bound) computes, window by window
+        wait[draw] = (1.0 / bound[draw]) * rng.standard_exponential(np.count_nonzero(draw))
+        hit = np.flatnonzero(~(starts + wait > ends))
+        if hit.size == 0:
+            t = edges[-1]
+            m = min(2 * m, BLOCK_CAP)
             continue
-        t = t + wait
+        # a candidate in window j: rewind the generator to just after window j's draw
+        j = hit[0]
+        rng.bit_generator.state = state
+        rng.standard_exponential(np.count_nonzero(draw[:j + 1]))
+        m = BLOCK_WINDOWS
+        t = float(starts[j] + wait[j])
         lam = (float(s_h_profile(t / SECONDS_PER_HOUR))
-               * _excitation(times[:n], followers[:n], t, params))
-        if rng.uniform() <= lam / bound:
+               * float(_excitation(times[:n], followers[:n], t, params)))
+        if rng.uniform() <= lam / bound[j]:
             if n == times.size:  # full: double it, up to max_events + 1 rows
                 more = np.zeros(min(n, max_events + 1 - n))
                 times, followers = np.concatenate([times, more]), np.concatenate([followers, more])

@@ -281,6 +281,19 @@ def test_eval_rejects_manifest_that_is_not_json(tiny_dataset, trained, tmp_path,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
+def test_eval_rejects_manifest_that_is_not_an_object(tiny_dataset, trained, tmp_path, capsys,
+                                                     text):
+    shutil.copy(str(trained) + ".npz", tmp_path / "bad.npz")
+    (tmp_path / "bad.json").write_text(text)
+    report = tmp_path / "r.json"
+    assert run_command(["eval", "--input", str(tiny_dataset), "--checkpoint",
+                        str(tmp_path / "bad"), "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: checkpoint {tmp_path / 'bad'}.json is not a JSON object\n"
+    assert not report.exists()
+
+
 def test_train_rejects_config_tau_that_differs_from_the_labels(tiny_dataset, tmp_path,
                                                               capsys):
     cfg = tmp_path / "cfg.json"
@@ -396,6 +409,10 @@ def test_checkpoint_named_with_npz_suffix(tiny_dataset, trained, tmp_path):
     for suffix in (".npz", ".json"):
         assert (tmp_path / f"m{suffix}").read_bytes() == open(f"{trained}{suffix}", "rb").read()
     assert not (tmp_path / "m.npz.npz").exists() and not (tmp_path / "m.npz.json").exists()
+    # the history takes the checkpoint's base name too
+    assert (tmp_path / "m.history.json").read_bytes() == \
+        open(f"{trained}.history.json", "rb").read()
+    assert not (tmp_path / "m.npz.history.json").exists()
     reports = []
     for name in (ckpt, tmp_path / "m", trained):
         report = tmp_path / f"r{len(reports)}.json"

@@ -381,9 +381,10 @@ def test_simulate_deterministic():
 
 
 def reference_simulate_hawkes(s_h_profile, follower_sampler, horizon, seed,
-                              source_followers=None):
+                              source_followers=None, ratios=None):
     """Ogata thinning with the events in lists, rebuilt as arrays after each
-    accepted event."""
+    accepted event, one window at a time. Appends lambda / bound of every
+    candidate to ratios when given."""
     rng = np.random.default_rng(seed)
     n0 = follower_sampler(rng) if source_followers is None else source_followers
     times, followers = [0.0], [float(n0)]
@@ -403,6 +404,8 @@ def reference_simulate_hawkes(s_h_profile, follower_sampler, horizon, seed,
             continue
         t = t + wait
         lam = float(s_h_profile(t / SECONDS_PER_HOUR)) * _excitation(times_arr, foll_arr, t, P)
+        if ratios is not None:
+            ratios.append(lam / bound)
         if rng.uniform() <= lam / bound:
             times.append(t)
             followers.append(float(follower_sampler(rng)))
@@ -425,6 +428,49 @@ def test_simulate_matches_list_reference(profile):
         got = [(p.t, p.followers) for p in story.posts]
         assert got == want, (profile, seed)
         assert all(type(v) is float for row in got for v in row)
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_thinning_bound_holds_over_each_window(profile):
+    # the bound taken at a window's start must not fall below the intensity
+    # anywhere in the window, or thinning would accept too rarely
+    ratios = []
+    for seed in range(6):
+        reference_simulate_hawkes(PROFILES[profile], lambda r: r.poisson(1.0), 172800.0,
+                                  seed=seed, source_followers=SPEC.source_followers,
+                                  ratios=ratios)
+    assert len(ratios) > 100
+    assert max(ratios) <= 1.0
+
+
+BLOCK_CASES = {
+    # a zero bound inside a block: no events after hour 6
+    "falls_to_0": (lambda h: SPEC.real(h) if h < 6 else 0.0, 43200.0, SPEC.source_followers),
+    # zero bounds first: no events before hour 3
+    "0_at_first": (lambda h: 0.0 if h < 3 else SPEC.fake(h), 43200.0, SPEC.source_followers),
+    "horizon_off_the_minute": (SPEC.real, 10037.3, SPEC.source_followers),
+    "horizon_under_a_minute": (SPEC.fake, 45.0, SPEC.source_followers),
+    "source_followers_drawn": (SPEC.fake, 43200.0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_simulate_blocks_match_list_reference(case):
+    s_h, horizon, source_followers = BLOCK_CASES[case]
+    reshares = []
+    for seed in range(4):
+        story = simulate_hawkes(s_h, lambda r: r.poisson(1.0), horizon, seed=seed,
+                                source_followers=source_followers)
+        want = reference_simulate_hawkes(s_h, lambda r: r.poisson(1.0), horizon, seed=seed,
+                                         source_followers=source_followers)
+        got = [(p.t, p.followers) for p in story.posts]
+        assert got == want, (case, seed)
+        reshares += [t for t, _ in got[1:]]
+    assert reshares and max(reshares) < horizon
+    if case == "falls_to_0":
+        assert max(reshares) < 6 * SECONDS_PER_HOUR
+    if case == "0_at_first":
+        assert min(reshares) >= 3 * SECONDS_PER_HOUR
 
 
 def test_simulate_max_events_is_the_largest_cascade_allowed():
@@ -454,6 +500,26 @@ def test_simulate_event_buffer_growth_keeps_the_cascade(monkeypatch):
     assert run(max_events=n) == story
     with pytest.raises(ExplodingCascade):
         run(max_events=n - 1)
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_simulate_block_cap_keeps_the_cascade(monkeypatch, cap):
+    # with at most 1 (or 2) windows per block the loop takes one window at a time
+    def run(**kw):
+        return simulate_hawkes(lambda h: 0.8, lambda r: r.poisson(1.0), 21600.0, seed=2,
+                               source_followers=40.0, **kw)
+
+    story = run()
+    n = len(story.posts)
+    real = simulate_hawkes(SPEC.real, lambda r: r.poisson(1.0), 172800.0, seed=0,
+                           source_followers=SPEC.source_followers)
+    monkeypatch.setattr(pointprocess, "BLOCK_CAP", cap)
+    assert run() == story
+    assert run(max_events=n) == story
+    with pytest.raises(ExplodingCascade):
+        run(max_events=n - 1)
+    assert simulate_hawkes(SPEC.real, lambda r: r.poisson(1.0), 172800.0, seed=0,
+                           source_followers=SPEC.source_followers) == real
+
 
 def test_simulate_subcritical_branching_mean():
     # expected children of the seed: s_h * n0 * int_0^H phi; each later event
