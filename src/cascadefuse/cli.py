@@ -32,15 +32,9 @@ def cmd_validate(args):
 
 
 def cmd_simulate(args):
-    spec = dat.SyntheticProfile()
-    profile = spec.fake if args.profile == "fake" else spec.real
-    story = pp.simulate_hawkes(
-        profile, lambda r: r.poisson(spec.follower_mean),
-        horizon=args.horizon_days * dat.SECONDS_PER_DAY, seed=args.seed,
-        source_followers=spec.source_followers,
-        story_id=f"sim-{args.seed}", label="true" if args.profile == "real" else "fake")
-    manifest = dat.DatasetManifest(stories=[story], label_set=dat.BINARY_LABELS)
-    dat.save_dataset(manifest, args.out)
+    story = dat.SyntheticProfile(horizon_days=args.horizon_days).cascade(
+        "true" if args.profile == "real" else "fake", args.seed, f"sim-{args.seed}")
+    dat.save_dataset(dat.DatasetManifest(stories=[story], label_set=dat.BINARY_LABELS), args.out)
     print(f"simulated cascade with {len(story.posts)} posts -> {args.out}")
     return 0
 
@@ -51,8 +45,7 @@ def cmd_generate_synthetic(args):
     manifest = _split(dat.generate_synthetic(args.n_per_class, seed=args.seed,
                                              profile_spec=spec), args.seed)
     dat.save_dataset(manifest, args.out)
-    with open(str(args.out) + ".split.json", "w", encoding="utf-8") as f:
-        json.dump(manifest.split, f, indent=0, sort_keys=True)
+    dat.save_split(manifest.split, args.out)
     print(f"{len(manifest.stories)} synthetic stories -> {args.out}")
     return 0
 
@@ -80,29 +73,12 @@ def _split(manifest, seed: int):
 
 
 def _load_split(args, manifest):
-    """The split of --split, else of the input's .split.json, else _split's."""
-    split_path = args.split or str(args.input) + ".split.json"
-    if os.path.exists(split_path):
-        with open(split_path, encoding="utf-8") as f:
-            manifest.split = json.load(f)
-    else:
-        manifest = _split(manifest, args.seed or 0)
+    """The split of --split, else of the input's sidecar, else _split's."""
+    split_path = args.split or dat.split_path(args.input)
+    if not os.path.exists(split_path):
+        return _split(manifest, args.seed or 0)
+    manifest.split = dat.load_split(split_path)
     return manifest
-
-
-def _read_config(path) -> dict:
-    """A --config file: one JSON object whose keys are ModelConfig fields."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            values = json.load(f)
-        except ValueError as e:  # not JSON, or not UTF-8
-            raise ConfigMismatch(f"{path} is not valid JSON: {e}") from None
-    if not isinstance(values, dict):
-        raise ConfigMismatch(f"{path}: expected a JSON object, got {type(values).__name__}")
-    unknown = sorted(values.keys() - {f.name for f in dataclasses.fields(mdl.ModelConfig)})
-    if unknown:
-        raise ConfigMismatch(f"{path}: unknown config fields {unknown}")
-    return values
 
 
 def _prepare(args):
@@ -110,7 +86,8 @@ def _prepare(args):
     tau and vocab_size as the data fix them) and the featurizer fit on train."""
     manifest = _load_split(args, dat.load_dataset(args.input))
     splits = manifest.by_split()
-    values = _read_config(args.config) if args.config else {}
+    values = mdl.config_fields(dat.read_json_object(args.config), args.config) \
+        if args.config else {}
     # CLI flags override file values
     for name in ("variant", "seed", "seq_len", "max_epochs", "vocab_size"):
         v = getattr(args, name)

@@ -1,4 +1,4 @@
-"""Dataset I/O, train/val/test splitting, and the synthetic cascade generator.
+"""The reader of every input file, dataset I/O, splitting, and the synthetic generator.
 
 The on-disk format is JSON Lines, one story per line:
 
@@ -13,6 +13,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +32,26 @@ from .pointprocess import simulate_hawkes
 SECONDS_PER_DAY = 86400.0
 TEST_FRAC = 0.25  # of all stories, held out for test (3:1)
 VAL_FRAC = 0.15   # of the rest, moved to validation
+SPLIT_NAMES = ("train", "val", "test")
+
+
+def read_text(path, form: str = "UTF-8 text") -> str:
+    """An input file's UTF-8 text; a ParseError naming it as not valid `form` if undecodable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not valid {form}: {e}") from None
+
+
+def read_json_object(path) -> dict:
+    """An input file that holds one JSON object, else a ParseError naming it."""
+    try:
+        value = json.loads(read_text(path, form="JSON"))
+    except ValueError as e:
+        raise ParseError(f"{path} is not valid JSON: {e}") from None
+    if isinstance(value, dict):
+        return value
+    raise ParseError(f"{path} is not a JSON object")
 
 
 @dataclass
@@ -46,7 +67,7 @@ class DatasetManifest:
         return dict(out)
 
 
-def _story_from_obj(obj: dict) -> tuple[NewsStory, tuple[str, ...] | None]:
+def _story_from_obj(obj: dict) -> tuple[NewsStory, tuple[str, ...]]:
     posts = []
     for p in obj["posts"]:
         user = dict(p.get("user", {}))
@@ -54,45 +75,46 @@ def _story_from_obj(obj: dict) -> tuple[NewsStory, tuple[str, ...] | None]:
             user["post_count"] = user.pop("posts")
         posts.append(Post(t=float(p["t"]), followers=float(p["followers"]),
                           text=p.get("text", ""), user=profile_from_dict(user)))
-    declared = obj.get("label_set")
     story = NewsStory(id=str(obj["id"]), label=str(obj["label"]), posts=tuple(posts))
-    return story, tuple(declared) if declared else None
+    return validate_story(story), tuple(obj.get("label_set") or ())
+
+
+def _label_set(labels: set, declared_sets=()) -> tuple[str, ...]:
+    """The one declared label set, else the binary set if it holds every label, else four-way."""
+    if len(declared_sets) > 1:
+        raise MixedLabelSets(f"conflicting declared label sets: {sorted(declared_sets)}")
+    label_set = next(iter(declared_sets), BINARY_LABELS if labels <= set(BINARY_LABELS)
+                     else FOURWAY_LABELS)
+    unknown = labels - set(label_set)
+    if unknown:
+        raise MixedLabelSets(f"labels {sorted(unknown)} outside declared set {label_set}")
+    return label_set
 
 
 def load_dataset(path) -> DatasetManifest:
     """Parse and validate a JSONL dataset; infers the label set."""
     stories = []
     declared_sets = set()
-    labels_seen = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                story, declared = _story_from_obj(obj)
-                story = validate_story(story)
-            except CascadeFuseError as e:  # validate_story's typed errors keep their type
-                raise type(e)(f"line {lineno}: {e}") from e
-            except Exception as e:
-                raise ParseError(f"line {lineno}: {e}", line=lineno) from e
-            if declared:
-                declared_sets.add(declared)
-            labels_seen.add(story.label)
-            stories.append(story)
-    if len(declared_sets) > 1:
-        raise MixedLabelSets(f"conflicting declared label sets: {sorted(declared_sets)}")
-    if declared_sets:
-        label_set = next(iter(declared_sets))
-    elif labels_seen <= set(BINARY_LABELS):
-        label_set = BINARY_LABELS
-    else:
-        label_set = FOURWAY_LABELS
-    unknown = labels_seen - set(label_set)
-    if unknown:
-        raise MixedLabelSets(f"labels {sorted(unknown)} outside declared set {label_set}")
-    return DatasetManifest(stories=stories, label_set=label_set)
+    first_line: dict[str, int] = {}  # story id -> line
+    # split on "\n" only: str.splitlines would also split at the U+2028 that texts may hold
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            story, declared = _story_from_obj(json.loads(line))
+        except CascadeFuseError as e:  # validate_story's typed errors keep their type
+            raise type(e)(f"line {lineno}: {e}") from e
+        except Exception as e:
+            raise ParseError(f"line {lineno}: {e}", line=lineno) from e
+        if first_line.setdefault(story.id, lineno) != lineno:
+            raise ParseError(f"line {lineno}: story id {story.id!r} repeats line "
+                             f"{first_line[story.id]}", line=lineno)
+        if declared:
+            declared_sets.add(declared)
+        stories.append(story)
+    return DatasetManifest(stories=stories,
+                           label_set=_label_set({s.label for s in stories}, declared_sets))
 
 
 def _post_obj(p: Post) -> dict:
@@ -114,6 +136,27 @@ def save_dataset(manifest: DatasetManifest, path) -> None:
                    "label_set": list(manifest.label_set),
                    "posts": [_post_obj(p) for p in s.posts]}
             f.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def split_path(dataset) -> str:
+    """The split sidecar of a dataset file: <dataset>.split.json."""
+    return f"{dataset}.split.json"
+
+
+def save_split(split: dict[str, str], dataset) -> None:
+    """Write a split as the sidecar of its dataset file."""
+    with open(split_path(dataset), "w", encoding="utf-8") as f:
+        json.dump(split, f, indent=0, sort_keys=True)
+
+
+def load_split(path) -> dict[str, str]:
+    """A split sidecar: one JSON object mapping story ids to train, val or test."""
+    split = read_json_object(path)
+    for sid, part in split.items():
+        if part not in SPLIT_NAMES:
+            raise ParseError(f"{path}: story {sid!r} has split {part!r}, "
+                             f"not one of {list(SPLIT_NAMES)}")
+    return split
 
 
 def split_dataset(manifest: DatasetManifest, seed: int = 0,
@@ -183,6 +226,13 @@ class SyntheticProfile:
         bump = self.bump_height * math.exp(-0.5 * ((h - self.bump_hour) / self.bump_width) ** 2)
         return min(self.base * math.exp(-h / self.decay_hours) + bump, 1.0)
 
+    def cascade(self, label: str, seed: int, story_id: str) -> NewsStory:
+        """A cascade over horizon_days: the real profile for label "true", else the fake one."""
+        return simulate_hawkes(
+            self.real if label == "true" else self.fake, lambda r: r.poisson(self.follower_mean),
+            self.horizon_days * SECONDS_PER_DAY, seed=seed, story_id=story_id, label=label,
+            source_followers=self.source_followers)
+
 
 def _sample_text(rng, tokens):
     return " ".join(rng.choice(tokens, size=8))
@@ -207,17 +257,10 @@ def generate_synthetic(n_per_class: int, seed: int = 0,
     cascades with overlapping text/user distributions."""
     spec = profile_spec or SyntheticProfile()
     rng = np.random.default_rng(seed)
-    horizon = spec.horizon_days * SECONDS_PER_DAY
     stories = []
     for k in range(n_per_class):
         for label in ("true", "fake"):
-            s_h = spec.real if label == "true" else spec.fake
-            sim_seed = int(rng.integers(0, 2**31))
-            cascade = simulate_hawkes(
-                s_h, lambda r: r.poisson(spec.follower_mean), horizon,
-                seed=sim_seed,
-                source_followers=spec.source_followers,
-                story_id=f"{label}-{k}", label=label)
+            cascade = spec.cascade(label, int(rng.integers(0, 2**31)), f"{label}-{k}")
             if spec.shared_text:
                 tokens = tuple(sorted(set(REAL_TOKENS) | set(FAKE_TOKENS)))
             else:
@@ -242,7 +285,6 @@ def import_tree_dataset(root) -> DatasetManifest:
     not present in that layout and default to 1.
     """
     import ast
-    from pathlib import Path
 
     root = Path(root)
     label_file = root / "label.txt"
@@ -252,8 +294,7 @@ def import_tree_dataset(root) -> DatasetManifest:
                  "fake": "fake", "unverified": "unverified",
                  "debunking": "debunking", "debunk": "debunking"}
     stories = []
-    labels_seen = set()
-    for lineno, line in enumerate(label_file.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(label_file).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -269,7 +310,7 @@ def import_tree_dataset(root) -> DatasetManifest:
         if not tree_file.exists():
             continue
         minutes = set()
-        for raw in tree_file.read_text().splitlines():
+        for raw in read_text(tree_file).splitlines():
             if "->" not in raw:
                 continue
             for side in raw.split("->", 1):
@@ -285,6 +326,4 @@ def import_tree_dataset(root) -> DatasetManifest:
                       for m in sorted(minutes))
         stories.append(validate_story(
             NewsStory(id=sid.strip(), label=label, posts=posts)))
-        labels_seen.add(label)
-    label_set = BINARY_LABELS if labels_seen <= set(BINARY_LABELS) else FOURWAY_LABELS
-    return DatasetManifest(stories=stories, label_set=label_set)
+    return DatasetManifest(stories=stories, label_set=_label_set({s.label for s in stories}))

@@ -5,13 +5,15 @@ evaluation, grid search, the time-frame sweep, and the checkpoint format."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import zipfile
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .cascade import BINARY_LABELS
+from .data import read_json_object
 from .errors import CascadeFuseError, ConfigMismatch, EmptyDataset, EmptySpace, UnknownLabel
 from .features import USER_DIM, BundleConfig, FeatureBundle, UserScaler, Vocabulary, build_bundles
 from .layers import (
@@ -81,6 +83,14 @@ class ModelConfig(BundleConfig):
     @property
     def f2_dim_effective(self) -> int:
         return self.f2_dim if self.f2_dim is not None else self.e_con
+
+
+def config_fields(values, source) -> dict:
+    """values, if its keys are all ModelConfig fields (a --config file's or a manifest's)."""
+    unknown = sorted(set(values) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ConfigMismatch(f"{source}: unknown config fields {unknown}")
+    return values
 
 
 @dataclass
@@ -375,22 +385,19 @@ def save_checkpoint(path, params: ParameterSet, config: ModelConfig, vocab: Voca
 
 def load_checkpoint(path):
     """save_checkpoint's (params, config, vocabulary, user scaler, temporal scaler,
-    label set); ConfigMismatch if the manifest is malformed or does not fit the .npz."""
+    label set); ConfigMismatch if the manifest or the .npz is malformed or they do not fit."""
     base = checkpoint_base(path)
-    with open(base + ".json", encoding="utf-8") as f:
-        try:
-            meta = json.load(f)
-        except ValueError as e:  # not JSON, or not UTF-8
-            raise ConfigMismatch(f"checkpoint {base}.json is not valid JSON: {e}") from None
-    if not isinstance(meta, dict):
-        raise ConfigMismatch(f"checkpoint {base}.json is not a JSON object")
+    try:
+        meta = read_json_object(base + ".json")
+    except CascadeFuseError as e:  # the reader's ParseError names the file
+        raise ConfigMismatch(f"checkpoint {e}") from None
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ConfigMismatch(f"unsupported checkpoint version {meta.get('version')!r}"
                              f" (expected {CHECKPOINT_VERSION})")
-    with np.load(base + ".npz") as npz:
-        values = {k: npz[k] for k in npz.files}
     try:
-        config = ModelConfig(**meta["config"])
+        with np.load(base + ".npz") as npz:
+            values = {k: npz[k] for k in npz.files}
+        config = ModelConfig(**config_fields(meta["config"], "config"))
         vocab = Vocabulary(terms=tuple(meta["vocabulary"]["terms"]),
                            idf=meta["vocabulary"]["idf"])
         user_scaler = UserScaler(**meta["user_scaler"])
@@ -402,6 +409,6 @@ def load_checkpoint(path):
         params.load_values(values)
     except KeyError as e:
         raise ConfigMismatch(f"checkpoint {path}: missing key {e}") from None
-    except (TypeError, ValueError, CascadeFuseError) as e:
+    except (TypeError, ValueError, EOFError, zipfile.BadZipFile, CascadeFuseError) as e:
         raise ConfigMismatch(f"checkpoint {path}: {e}") from None
     return params, config, vocab, user_scaler, temporal_scaler, label_set

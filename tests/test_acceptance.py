@@ -33,27 +33,13 @@ from cascadefuse.pointprocess import (
     triangular_kernel,
 )
 
+from oracles import quad_oracle
+
 P = KernelParams()
 
 
 def announce(n, text):
     print(f"ACCEPTANCE {n}: PASS — {text}")
-
-
-def phi_ref(s, params=P):
-    if s <= params.s0:
-        return params.c
-    return params.c * (s / params.s0) ** (-(1 + params.theta))
-
-
-def quad_oracle(t_i, t, params=P, tol=1e-10):
-    lo = max(t_i, t / 2)
-    if lo >= t:
-        return 0.0
-    val, _ = quad(lambda s: max(1 - 2 * (t - s) / t, 0) * phi_ref(s - t_i, params),
-                  lo, t, points=[t_i + params.s0] if lo < t_i + params.s0 < t else None,
-                  epsabs=tol, epsrel=tol, limit=200)
-    return val
 
 
 # --- shared fixtures -------------------------------------------------------

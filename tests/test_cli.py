@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import shutil
 
@@ -218,7 +219,7 @@ def test_eval_rejects_version_2_checkpoint(tiny_dataset, trained, tmp_path, caps
 
 @pytest.mark.parametrize("edit, message", [
     (lambda m: m.pop("vocabulary"), "missing key 'vocabulary'"),
-    (lambda m: m["config"].update(user_dim=8), "unexpected keyword argument 'user_dim'"),
+    (lambda m: m["config"].update(user_dim=8), "unknown config fields ['user_dim']"),
     (lambda m: m["vocabulary"]["idf"].pop(), "terms and idf lengths differ"),
     (lambda m: m["config"].update(variant="bogus"), "unknown variant 'bogus'"),
     (lambda m: m["label_set"].append("unverified"), "3 labels but tau 2"),
@@ -294,6 +295,82 @@ def test_eval_rejects_manifest_that_is_not_an_object(tiny_dataset, trained, tmp_
     assert not report.exists()
 
 
+def object_array_npz(original: bytes) -> bytes:
+    """The checkpoint's arrays with one of them an object array."""
+    with np.load(io.BytesIO(original)) as npz:
+        values = dict(npz)
+    values["f2_b"] = np.array([None, 1], dtype=object)
+    buf = io.BytesIO()
+    np.savez(buf, **values)
+    return buf.getvalue()
+
+
+def add_manifest_field(original: bytes) -> bytes:
+    meta = json.loads(original)
+    meta["config"]["user_dim"] = 8
+    return json.dumps(meta).encode()
+
+
+# command, file replaced (as a function of its bytes), and a part of the error line
+MALFORMED_INPUTS = {
+    "split_list": ("train", "d.jsonl.split.json", lambda b: b"[1, 2]",
+                   "d.jsonl.split.json is not a JSON object"),
+    "split_truncated": ("train", "d.jsonl.split.json", lambda b: b[:len(b) // 2],
+                        "d.jsonl.split.json is not valid JSON: "),
+    "split_not_utf8": ("train", "d.jsonl.split.json", lambda b: b.replace(b"test", b"t\xe9st", 1),
+                       "d.jsonl.split.json is not valid JSON: 'utf-8' codec can't decode"),
+    "split_value": ("train", "d.jsonl.split.json", lambda b: b.replace(b'"train"', b'"Train"'),
+                    "has split 'Train', not one of ['train', 'val', 'test']"),
+    "dataset_not_utf8": ("train", "d.jsonl", lambda b: b.replace(b"news", b"n\xe9ws", 1),
+                         "d.jsonl is not valid UTF-8 text: 'utf-8' codec can't decode"),
+    "dataset_repeated_id": ("train", "d.jsonl", lambda b: b.split(b"\n")[0] + b"\n" + b,
+                            "line 2: story id 'true-0' repeats line 1"),
+    "npz_not_zip": ("eval", "m.npz", lambda b: b"not a zip archive",
+                    "pickled"),
+    "npz_truncated": ("eval", "m.npz", lambda b: b[:len(b) // 2],
+                      "File is not a zip file"),
+    "npz_empty": ("eval", "m.npz", lambda b: b"", "No data left in file"),
+    "npz_object_array": ("eval", "m.npz", object_array_npz,
+                         "Object arrays cannot be loaded"),
+    "manifest_field": ("eval", "m.json", add_manifest_field,
+                       "unknown config fields ['user_dim']"),
+    "label_not_utf8": ("import", "tree/label.txt", lambda b: b.replace(b"false", b"f\xe4lse"),
+                       "label.txt is not valid UTF-8 text: 'utf-8' codec can't decode"),
+    "tree_not_utf8": ("import", "tree/tree/e1.txt", lambda b: b.replace(b"u2", b"\xfc2"),
+                      "e1.txt is not valid UTF-8 text: 'utf-8' codec can't decode"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_is_one_error_line(tiny_dataset, trained, tmp_path, capsys, case):
+    command, name, rewrite, message = MALFORMED_INPUTS[case]
+    for suffix in ("", ".split.json"):
+        shutil.copy(f"{tiny_dataset}{suffix}", tmp_path / f"d.jsonl{suffix}")
+    for suffix in (".npz", ".json"):
+        shutil.copy(f"{trained}{suffix}", tmp_path / f"m{suffix}")
+    (tmp_path / "tree" / "tree").mkdir(parents=True)
+    (tmp_path / "tree" / "label.txt").write_text("false:e1\n", encoding="utf-8")
+    (tmp_path / "tree" / "tree" / "e1.txt").write_text("['u1','t1',0.0]->['u2','t2',5.0]\n",
+                                                        encoding="utf-8")
+    target = tmp_path / name
+    target.write_bytes(rewrite(target.read_bytes()))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"train": ["train", "--input", str(tmp_path / "d.jsonl"), "--out", str(out / "m"),
+                      "--max-epochs", "1", "--seq-len", "5"],
+            "eval": ["eval", "--input", str(tmp_path / "d.jsonl"), "--checkpoint",
+                     str(tmp_path / "m"), "--out", str(out / "r.json")],
+            "import": ["import", "--input", str(tmp_path / "tree"),
+                       "--out", str(out / "i.jsonl")]}[command]
+    capsys.readouterr()
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    if command == "eval":
+        assert err.startswith(f"error: checkpoint {tmp_path / 'm'}: ")
+    assert not list(out.iterdir())
+
+
 def test_train_rejects_config_tau_that_differs_from_the_labels(tiny_dataset, tmp_path,
                                                               capsys):
     cfg = tmp_path / "cfg.json"
@@ -321,7 +398,7 @@ def test_train_rejects_config_keys_that_are_not_fields(tiny_dataset, tmp_path, c
 
 
 @pytest.mark.parametrize("text, message", [
-    ("[1, 2]", "expected a JSON object, got list"),
+    ("[1, 2]", "is not a JSON object"),
     ('{"dropout": 0.5', "is not valid JSON"),
     (b"\xff\xfe{}", "is not valid JSON"),
     ('{"dropout": "0.5"}', "dropout '0.5' is not of type float"),

@@ -123,6 +123,17 @@ def test_roundtrip_bit_identical(tmp_path):
     assert m.stories == m2.stories
 
 
+def test_roundtrip_keeps_line_separators_inside_texts(tmp_path):
+    # save_dataset writes U+2028 and U+2029 raw; only "\n" ends a JSONL line
+    post = Post(t=0.0, followers=1.0, text="one\u2028two\u2029three\x85four")
+    m = DatasetManifest(stories=[NewsStory(id="a", label="true", posts=(post,))],
+                        label_set=("true", "fake"))
+    p = tmp_path / "d.jsonl"
+    save_dataset(m, p)
+    assert "\u2028" in p.read_text(encoding="utf-8")
+    assert load_dataset(p).stories == m.stories
+
+
 # --- splits ---
 
 def manifest_of(n, labels=("true", "fake")):

@@ -26,6 +26,8 @@ from cascadefuse.layers import (
     gru_unroll,
 )
 
+from oracles import gru_chain
+
 rng = np.random.default_rng(1)
 
 
@@ -153,19 +155,6 @@ def test_unroll_padded_positions_zero_and_frozen():
 
 
 # --- one-path gru_lockstep (gru_sequence) vs the gru_step tape ---
-
-def gru_chain(X, mask, *weights, form="paper"):
-    """The tape oracle: one gru_step per real row of X, each reading its row
-    through X.T @ one-hot so that X's gradient flows through the tape."""
-    T, E = X.data.shape[0], weights[0].data.shape[1]
-    h = zero = Tensor(np.zeros(E))
-    rows = []
-    for t in range(T):
-        if mask[t]:
-            h = gru_step(X.T @ Tensor(np.eye(T)[t]), h, *weights, form=form)
-        rows.append(h if mask[t] else zero)
-    return ad.stack_rows(rows)
-
 
 def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)

@@ -20,7 +20,6 @@ from cascadefuse.layers import (
     ParameterSet,
     adadelta_step,
     cross_entropy,
-    gru_step,
 )
 from cascadefuse.model import (
     EvalReport,
@@ -35,6 +34,8 @@ from cascadefuse.model import (
     save_checkpoint,
     train,
 )
+
+from oracles import gru_chain
 
 rng = np.random.default_rng(3)
 
@@ -251,22 +252,13 @@ def test_train_deterministic_history():
     assert h1.val_loss == h2.val_loss
 
 
-def tape_gru_sequence(X, mask, *weights, form="paper"):
-    """The per-gate tape the fused op replaces: one gru_step per real row."""
-    T, E = X.data.shape[0], weights[0].data.shape[1]
-    h = zero = Tensor(np.zeros(E))
-    rows = []
-    for t in range(T):
-        if mask[t]:
-            h = gru_step(X.T @ Tensor(np.eye(T)[t]), h, *weights, form=form)
-        rows.append(h if mask[t] else zero)
-    return HiddenSequence(states=ad.stack_rows(rows), mask=mask)
-
-
 def tape_gru_lockstep(paths, form="paper"):
-    """The per-path tape the lockstep op replaces: tape_gru_sequence for each path."""
-    return [tape_gru_sequence(X, np.asarray(mask, dtype=bool), *weights, form=form)
-            for X, mask, weights in paths]
+    """The per-path tape the lockstep op replaces: gru_chain for each path."""
+    seqs = []
+    for X, mask, weights in paths:
+        mask = np.asarray(mask, dtype=bool)
+        seqs.append(HiddenSequence(states=gru_chain(X, mask, *weights, form=form), mask=mask))
+    return seqs
 
 
 def tape_embedding_sequence(E, posts, mask):

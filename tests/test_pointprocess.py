@@ -38,6 +38,8 @@ from cascadefuse.pointprocess import (
     _excitation,
 )
 
+from oracles import phi_ref, quad_oracle
+
 P = KernelParams()
 
 
@@ -45,24 +47,6 @@ def make_story(events, label="true"):
     """events: list of (t, followers)."""
     return NewsStory(id="s", label=label,
                      posts=tuple(Post(t=t, followers=n) for t, n in events))
-
-
-def phi_ref(s, params=P):
-    """Independent scalar evaluation of the memory kernel."""
-    if s <= params.s0:
-        return params.c
-    return params.c * (s / params.s0) ** (-(1 + params.theta))
-
-
-def quad_oracle(t_i, t, params=P, tol=1e-10):
-    """Adaptive-quadrature oracle for the denominator integral."""
-    lo = max(t_i, t / 2)
-    if lo >= t:
-        return 0.0
-    val, _ = quad(lambda s: max(1 - 2 * (t - s) / t, 0) * phi_ref(s - t_i, params),
-                  lo, t, points=[t_i + params.s0] if lo < t_i + params.s0 < t else None,
-                  epsabs=tol, epsrel=tol, limit=200)
-    return val
 
 
 # --- memory kernel ---
