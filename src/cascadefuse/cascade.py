@@ -45,10 +45,10 @@ class UserProfile:
     def __post_init__(self):
         for name in PROFILE_COUNT_FIELDS:
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"profile field {name!r} must be finite and non-negative")
+                raise InvalidValue(f"profile field {name!r} must be finite and non-negative")
         for name in PROFILE_FLAG_FIELDS:
             if getattr(self, name) not in (0, 1):
-                raise ValueError(f"profile flag {name!r} must be 0 or 1")
+                raise InvalidValue(f"profile flag {name!r} must be 0 or 1")
 
     def as_tuple(self):
         return _profile_values(self)
@@ -65,7 +65,7 @@ class Post:
 
     def __post_init__(self):
         if not 0 <= self.followers < math.inf:  # NaN fails too
-            raise ValueError("followers must be finite and non-negative")
+            raise InvalidValue("followers must be finite and non-negative")
 
 
 @dataclass(frozen=True)

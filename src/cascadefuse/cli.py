@@ -22,7 +22,7 @@ from . import data as dat
 from . import features as feat
 from . import model as mdl
 from . import pointprocess as pp
-from .errors import CascadeFuseError, ConfigMismatch, TooFewStories
+from .errors import CascadeFuseError
 
 
 def cmd_validate(args):
@@ -42,8 +42,8 @@ def cmd_simulate(args):
 def cmd_generate_synthetic(args):
     spec = dat.SyntheticProfile(shared_text=args.shared_text,
                                 horizon_days=args.horizon_days)
-    manifest = _split(dat.generate_synthetic(args.n_per_class, seed=args.seed,
-                                             profile_spec=spec), args.seed)
+    manifest = dat.split_dataset(dat.generate_synthetic(args.n_per_class, seed=args.seed,
+                                                        profile_spec=spec), args.seed)
     dat.save_dataset(manifest, args.out)
     dat.save_split(manifest.split, args.out)
     print(f"{len(manifest.stories)} synthetic stories -> {args.out}")
@@ -63,27 +63,18 @@ def cmd_infectiousness(args):
     return 0
 
 
-def _split(manifest, seed: int):
-    """Every command's split: stratified by label, or over all stories when a
-    label has fewer than the 3 stories a stratified split needs."""
-    try:
-        return dat.split_dataset(manifest, seed=seed)
-    except TooFewStories:
-        return dat.split_dataset(manifest, seed=seed, stratified=False)
-
-
 def _load_split(args, manifest):
-    """The split of --split, else of the input's sidecar, else _split's."""
+    """The split of --split (which must exist), else of the input's sidecar, else a fresh one."""
     split_path = args.split or dat.split_path(args.input)
-    if not os.path.exists(split_path):
-        return _split(manifest, args.seed or 0)
+    if args.split is None and not os.path.exists(split_path):
+        return dat.split_dataset(manifest, args.seed or 0)
     manifest.split = dat.load_split(split_path)
     return manifest
 
 
 def _prepare(args):
     """Setup of train, ablate and sweep: the config (--config file, then flags;
-    tau and vocab_size as the data fix them) and the featurizer fit on train."""
+    vocab_size as the vocabulary built fixes it) and the featurizer fit on train."""
     manifest = _load_split(args, dat.load_dataset(args.input))
     splits = manifest.by_split()
     values = mdl.config_fields(dat.read_json_object(args.config), args.config) \
@@ -93,10 +84,6 @@ def _prepare(args):
         v = getattr(args, name)
         if v is not None:
             values[name] = v
-    tau = len(manifest.label_set)
-    if values.setdefault("tau", tau) != tau:
-        raise ConfigMismatch(f"{args.config}: tau {values['tau']!r} differs from the "
-                             f"{tau} labels of {args.input}")
     config = mdl.ModelConfig(**values)
     train_stories = splits.get("train", [])
     vocab = feat.build_vocabulary(train_stories, K=config.vocab_size)
@@ -197,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a single Hawkes cascade")
     p.add_argument("--profile", choices=("real", "fake"), default="real")
-    p.add_argument("--horizon-days", type=float, default=2.0)
+    p.add_argument("--horizon-days", type=float, default=dat.SyntheticProfile.horizon_days)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -205,14 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate-synthetic", help="generate a labeled synthetic dataset")
     p.add_argument("--n-per-class", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon-days", type=float, default=2.0)
+    p.add_argument("--horizon-days", type=float, default=dat.SyntheticProfile.horizon_days)
     p.add_argument("--shared-text", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate_synthetic)
 
     p = sub.add_parser("infectiousness", help="per-story hourly infectiousness CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--grid-hours", type=int, default=47)
+    p.add_argument("--grid-hours", type=int, default=pp.DEFAULT_GRID_HOURS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infectiousness)
 

@@ -76,7 +76,7 @@ def _story_from_obj(obj: dict) -> tuple[NewsStory, tuple[str, ...]]:
         posts.append(Post(t=float(p["t"]), followers=float(p["followers"]),
                           text=p.get("text", ""), user=profile_from_dict(user)))
     story = NewsStory(id=str(obj["id"]), label=str(obj["label"]), posts=tuple(posts))
-    return validate_story(story), tuple(obj.get("label_set") or ())
+    return story, tuple(obj.get("label_set") or ())
 
 
 def _label_set(labels: set, declared_sets=()) -> tuple[str, ...]:
@@ -91,6 +91,13 @@ def _label_set(labels: set, declared_sets=()) -> tuple[str, ...]:
     return label_set
 
 
+def _first_use(first_line: dict[str, int], sid: str, lineno: int, where: str) -> None:
+    """Record that story id sid is on line lineno; a ParseError if an earlier line has it."""
+    if first_line.setdefault(sid, lineno) != lineno:
+        raise ParseError(f"{where} {lineno}: story id {sid!r} repeats line {first_line[sid]}",
+                         line=lineno)
+
+
 def load_dataset(path) -> DatasetManifest:
     """Parse and validate a JSONL dataset; infers the label set."""
     stories = []
@@ -101,15 +108,15 @@ def load_dataset(path) -> DatasetManifest:
         line = line.strip()
         if not line:
             continue
-        try:
+        try:  # a field value that Post or UserProfile refuses is a ParseError too
             story, declared = _story_from_obj(json.loads(line))
-        except CascadeFuseError as e:  # validate_story's typed errors keep their type
-            raise type(e)(f"line {lineno}: {e}") from e
         except Exception as e:
             raise ParseError(f"line {lineno}: {e}", line=lineno) from e
-        if first_line.setdefault(story.id, lineno) != lineno:
-            raise ParseError(f"line {lineno}: story id {story.id!r} repeats line "
-                             f"{first_line[story.id]}", line=lineno)
+        try:
+            story = validate_story(story)
+        except CascadeFuseError as e:  # validate_story's typed errors keep their type
+            raise type(e)(f"line {lineno}: {e}") from e
+        _first_use(first_line, story.id, lineno, "line")
         if declared:
             declared_sets.add(declared)
         stories.append(story)
@@ -159,25 +166,19 @@ def load_split(path) -> dict[str, str]:
     return split
 
 
-def split_dataset(manifest: DatasetManifest, seed: int = 0,
-                  stratified: bool = True) -> DatasetManifest:
+def split_dataset(manifest: DatasetManifest, seed: int = 0) -> DatasetManifest:
     """Seeded split: TEST_FRAC held out, then VAL_FRAC of the remaining
-    training portion moved to validation; optionally per-label."""
-    rng = np.random.default_rng(seed)
-    groups: dict[str, list[NewsStory]]
-    if stratified:
-        groups = defaultdict(list)
-        for s in manifest.stories:
-            groups[s.label].append(s)
-        for label in manifest.label_set:
-            if len(groups.get(label, [])) < 3:
-                raise TooFewStories(
-                    f"label {label!r} has too few stories for a stratified split")
-    else:
+    training portion moved to validation; per label when every label of the
+    label set has at least 3 stories, else over all stories."""
+    if len(manifest.stories) < 3:
+        raise TooFewStories("need at least 3 stories to split")
+    groups: dict[str, list[NewsStory]] = defaultdict(list)
+    for s in manifest.stories:
+        groups[s.label].append(s)
+    if any(len(groups[label]) < 3 for label in manifest.label_set):
         groups = {"_all": list(manifest.stories)}
-        if len(manifest.stories) < 3:
-            raise TooFewStories("need at least 3 stories to split")
 
+    rng = np.random.default_rng(seed)
     split: dict[str, str] = {}
     for _, items in sorted(groups.items()):
         order = rng.permutation(len(items))
@@ -294,6 +295,7 @@ def import_tree_dataset(root) -> DatasetManifest:
                  "fake": "fake", "unverified": "unverified",
                  "debunking": "debunking", "debunk": "debunking"}
     stories = []
+    first_line: dict[str, int] = {}  # story id -> line
     for lineno, line in enumerate(read_text(label_file).splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -306,7 +308,9 @@ def import_tree_dataset(root) -> DatasetManifest:
         if label is None:
             raise ParseError(f"label.txt line {lineno}: unknown label {raw_label!r}",
                              line=lineno)
-        tree_file = root / "tree" / f"{sid.strip()}.txt"
+        sid = sid.strip()
+        _first_use(first_line, sid, lineno, "label.txt line")
+        tree_file = root / "tree" / f"{sid}.txt"
         if not tree_file.exists():
             continue
         minutes = set()
@@ -325,5 +329,5 @@ def import_tree_dataset(root) -> DatasetManifest:
         posts = tuple(Post(t=(m - t0) * 60.0, followers=1.0)
                       for m in sorted(minutes))
         stories.append(validate_story(
-            NewsStory(id=sid.strip(), label=label, posts=posts)))
+            NewsStory(id=sid, label=label, posts=posts)))
     return DatasetManifest(stories=stories, label_set=_label_set({s.label for s in stories}))

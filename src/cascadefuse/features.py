@@ -19,6 +19,7 @@ from .cascade import PROFILE_COUNT_FIELDS, PROFILE_FLAG_FIELDS, NewsStory, UserP
 from .errors import ConfigMismatch, EmptyCorpus, InvalidValue
 from .pointprocess import (
     KernelParams,
+    DEFAULT_GRID_HOURS,
     DEFAULT_PARAMS,
     default_grid,
     infectiousness_series,
@@ -37,6 +38,7 @@ HAN_RUN_RE = re.compile(f"([{HAN}]{{2,}})|([{HAN}]|[^{HAN}]+)")
 VARIANTS = ("full", "no_cim", "no_time", "freq")
 N_COUNTS = len(PROFILE_COUNT_FIELDS)  # leading, standardized columns of a user row
 USER_DIM = len(PROFILE_COUNT_FIELDS + PROFILE_FLAG_FIELDS)  # width of a user vector
+DEFAULT_VOCAB_SIZE = 5000  # tf-idf terms kept
 
 
 def tokenize(text: str) -> list[str]:
@@ -83,7 +85,7 @@ class Vocabulary:
         return {t: i for i, t in enumerate(self.terms)}
 
 
-def build_vocabulary(corpus: list[NewsStory], K: int = 5000) -> Vocabulary:
+def build_vocabulary(corpus: list[NewsStory], K: int = DEFAULT_VOCAB_SIZE) -> Vocabulary:
     """Build the top-K tf-idf vocabulary from training stories.
 
     idf(w) = ln((1 + N) / (1 + df(w))) + 1 over the N training posts; terms
@@ -178,7 +180,7 @@ class BundleConfig:
     """The shape of a story's streams; model.ModelConfig extends it."""
 
     seq_len: int = 30          # posts fed to the linguistic/user GRUs
-    temporal_len: int = 47     # hourly infectiousness points
+    temporal_len: int = DEFAULT_GRID_HOURS  # hourly infectiousness points
     variant: str = "full"
     kernel: ClassVar[KernelParams] = DEFAULT_PARAMS  # fixed; not stored in checkpoints
 

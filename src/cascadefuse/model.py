@@ -15,7 +15,8 @@ from .autodiff import Tensor
 from .cascade import BINARY_LABELS
 from .data import read_json_object
 from .errors import CascadeFuseError, ConfigMismatch, EmptyDataset, EmptySpace, UnknownLabel
-from .features import USER_DIM, BundleConfig, FeatureBundle, UserScaler, Vocabulary, build_bundles
+from .features import (DEFAULT_VOCAB_SIZE, USER_DIM, BundleConfig, FeatureBundle, UserScaler,
+                       Vocabulary, build_bundles)
 from .layers import (
     GRU_FORMS,
     HiddenSequence,
@@ -33,13 +34,12 @@ from .layers import (
 class ModelConfig(BundleConfig):
     """A BundleConfig plus the network's sizes and training settings."""
 
-    vocab_size: int = 5000
+    vocab_size: int = DEFAULT_VOCAB_SIZE
     embed_dim: int = 100          # linguistic embedding dimension
     E_l: int = 32
     E_u: int = 32
     E_s: int = 32
     f2_dim: int | None = None     # defaults to E_con
-    tau: int = 2
     dropout: float = 0.5
     max_epochs: int = 500
     patience: int = 10
@@ -97,7 +97,7 @@ def config_fields(values, source) -> dict:
 class EvalReport:
     accuracy: float
     per_class_f1: dict[str, float]
-    confusion: np.ndarray  # (tau, tau) counts, rows = truth
+    confusion: np.ndarray  # (labels, labels) counts, rows = truth
     loss: float
 
     def to_dict(self):
@@ -105,7 +105,9 @@ class EvalReport:
                 "confusion": self.confusion.tolist(), "loss": self.loss}
 
 
-def init_params(config: ModelConfig, seed: int | None = None) -> ParameterSet:
+def init_params(config: ModelConfig, seed: int | None = None,
+                label_set=BINARY_LABELS) -> ParameterSet:
+    """Fresh weights for config's network, with one output unit per label."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
     p = ParameterSet()
     p.add("embed", glorot(rng, config.vocab_size, config.embed_dim))
@@ -125,8 +127,8 @@ def init_params(config: ModelConfig, seed: int | None = None) -> ParameterSet:
     f2 = config.f2_dim_effective
     p.add("f2_W", glorot(rng, config.e_con, f2))
     p.add("f2_b", np.zeros(f2))
-    p.add("out_W", glorot(rng, f2, config.tau))
-    p.add("out_b", np.zeros(config.tau))
+    p.add("out_W", glorot(rng, f2, len(label_set)))
+    p.add("out_b", np.zeros(len(label_set)))
     return p
 
 
@@ -248,7 +250,7 @@ def train(train_bundles: list[FeatureBundle], val_bundles: list[FeatureBundle],
     val_bundles = [scaler.apply(b) for b in val_bundles]
     y_train = [_label_index(b.label, label_set) for b in train_bundles]
 
-    params = init_params(config)
+    params = init_params(config, label_set=label_set)
     rng = np.random.default_rng(config.seed + 1)
     history = TrainHistory()
     best_val = np.inf
@@ -301,10 +303,13 @@ def evaluate(test_bundles: list[FeatureBundle], params: ParameterSet,
     """Argmax predictions; accuracy, per-class F1 and confusion counts."""
     if not test_bundles:
         raise EmptyDataset("evaluation set is empty")
+    n_labels = len(label_set)
+    if params["out_b"].data.size != n_labels:
+        raise ConfigMismatch(f"{params['out_b'].data.size} output units for the "
+                             f"{n_labels} labels {list(label_set)}")
     if scaler is not None:
         test_bundles = [scaler.apply(b) for b in test_bundles]
-    tau = config.tau
-    confusion = np.zeros((tau, tau), dtype=int)
+    confusion = np.zeros((n_labels, n_labels), dtype=int)
     total_loss = 0.0
     for b in test_bundles:
         y = _label_index(b.label, label_set)
@@ -358,7 +363,7 @@ def timeframe_sweep(stories_by_split, vocab, user_scaler, days: list[int],
     return [(d, report.accuracy) for d, report in zip(days, reports)]
 
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def checkpoint_base(path) -> str:
@@ -403,9 +408,7 @@ def load_checkpoint(path):
         user_scaler = UserScaler(**meta["user_scaler"])
         temporal_scaler = TemporalScaler(**meta["temporal_scaler"])
         label_set = tuple(meta["label_set"])
-        if len(label_set) != config.tau:
-            raise ConfigMismatch(f"{len(label_set)} labels but tau {config.tau}")
-        params = init_params(config)
+        params = init_params(config, label_set=label_set)
         params.load_values(values)
     except KeyError as e:
         raise ConfigMismatch(f"checkpoint {path}: missing key {e}") from None

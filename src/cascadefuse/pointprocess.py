@@ -53,6 +53,7 @@ class KernelParams:
 
 
 DEFAULT_PARAMS = KernelParams()
+DEFAULT_GRID_HOURS = 47  # hours 1..47: the hourly points before a 2-day horizon
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class InfectiousnessSeries:
             raise InvalidValue("grid must be strictly increasing")
 
 
-def default_grid(n_hours: int = 47) -> np.ndarray:
+def default_grid(n_hours: int = DEFAULT_GRID_HOURS) -> np.ndarray:
     """Hourly evaluation grid: hours 1..n_hours."""
     return np.arange(1, n_hours + 1, dtype=float)
 

@@ -72,7 +72,7 @@ def run_variant(manifest, variant, seed=3, max_epochs=20):
     vocab, _, bundles = featurize(manifest, variant)
     cfg = ModelConfig(variant=variant, vocab_size=vocab.size, embed_dim=16,
                       seq_len=30, temporal_len=47, E_l=16, E_u=16, E_s=16,
-                      tau=2, seed=seed, max_epochs=max_epochs)
+                      seed=seed, max_epochs=max_epochs)
     params, history, tscaler = train(bundles["train"], bundles["val"], cfg)
     report = evaluate(bundles["test"], params, cfg, scaler=tscaler)
     return report
@@ -144,7 +144,7 @@ def test_criterion_4_follower_scale_covariance():
 # --- criterion 5: gradient checks -------------------------------------------
 
 TOY = dict(vocab_size=8, embed_dim=4, seq_len=3, temporal_len=3,
-           E_l=4, E_u=4, E_s=4, tau=2, dropout=0.0)
+           E_l=4, E_u=4, E_s=4, dropout=0.0)
 STEP, GTOL = 1e-5, 1e-4
 
 
@@ -293,7 +293,7 @@ def test_criterion_8_timeframe_sweep(synth_shared):
     scaler = feat.fit_user_scaler(splits["train"])
     cfg = ModelConfig(variant="full", vocab_size=vocab.size, embed_dim=16,
                       seq_len=30, temporal_len=47, E_l=16, E_u=16, E_s=16,
-                      tau=2, seed=3, max_epochs=15)
+                      seed=3, max_epochs=15)
     rows = dict(timeframe_sweep(splits, vocab, scaler, [0, 2], cfg))
     assert rows[2] >= rows[0]
     assert rows[2] == rows[2]  # defined
@@ -313,7 +313,7 @@ def test_criterion_9_determinism(synth_overlap):
                for k, v in small.items()}
     cfg = ModelConfig(variant="full", vocab_size=vocab.size, embed_dim=8,
                       seq_len=20, temporal_len=47, E_l=8, E_u=8, E_s=8,
-                      tau=2, seed=17, max_epochs=3)
+                      seed=17, max_epochs=3)
     reports = []
     for _ in range(2):
         params, _, tscaler = train(bundles["train"], bundles["val"], cfg)

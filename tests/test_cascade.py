@@ -12,7 +12,14 @@ from cascadefuse.cascade import (
     truncate_story,
     validate_story,
 )
-from cascadefuse.errors import EmptyStory, InvalidValue, NegativeTime, UnknownLabel
+from cascadefuse.errors import (
+    CascadeFuseError,
+    EmptyStory,
+    InvalidValue,
+    NegativeTime,
+    UnknownLabel,
+)
+from cascadefuse.pointprocess import simulate_hawkes
 
 
 def story(times, label="fake", sid="s1"):
@@ -121,6 +128,23 @@ def test_profile_count_fields_must_be_finite_and_non_negative(name, value):
 def test_post_followers_must_be_finite_and_non_negative(value):
     with pytest.raises(ValueError, match="followers must be finite and non-negative"):
         Post(t=0.0, followers=value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Post(t=0.0, followers=-1.0),
+    lambda: Post(t=0.0, followers=math.nan),
+    lambda: UserProfile(followers=math.inf),
+    lambda: UserProfile(desc_len=-1.0),
+    lambda: UserProfile(verified=2),
+    lambda: UserProfile(geo=-1),
+    # a follower sampler's value reaches Post through a public function
+    lambda: simulate_hawkes(lambda h: 0.75, lambda r: -1.0, 3600.0, seed=0),
+], ids=["post_followers_negative", "post_followers_nan", "profile_followers_inf",
+        "profile_desc_len_negative", "profile_verified_2", "profile_geo_negative",
+        "simulate_sampler_negative"])
+def test_invalid_post_and_profile_values_are_typed_errors(make):
+    with pytest.raises(CascadeFuseError):
+        make()
 
 
 def test_profile_as_tuple_is_in_field_order():

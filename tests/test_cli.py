@@ -222,7 +222,7 @@ def test_eval_rejects_version_2_checkpoint(tiny_dataset, trained, tmp_path, caps
     (lambda m: m["config"].update(user_dim=8), "unknown config fields ['user_dim']"),
     (lambda m: m["vocabulary"]["idf"].pop(), "terms and idf lengths differ"),
     (lambda m: m["config"].update(variant="bogus"), "unknown variant 'bogus'"),
-    (lambda m: m["label_set"].append("unverified"), "3 labels but tau 2"),
+    (lambda m: m["label_set"].append("unverified"), "parameters ['out_W', 'out_b']"),
     (lambda m: m["config"].update(E_s=0), "E_s 0 must be at least 1"),
     (lambda m: m["config"].update(E_l=-1, E_u=-1), "E_l -1 must be at least 1"),
 ])
@@ -311,7 +311,8 @@ def add_manifest_field(original: bytes) -> bytes:
     return json.dumps(meta).encode()
 
 
-# command, file replaced (as a function of its bytes), and a part of the error line
+# command, file replaced (as a function of its bytes), and a part of the error line;
+# "train --split" is train with a --split file that does not exist
 MALFORMED_INPUTS = {
     "split_list": ("train", "d.jsonl.split.json", lambda b: b"[1, 2]",
                    "d.jsonl.split.json is not a JSON object"),
@@ -338,6 +339,9 @@ MALFORMED_INPUTS = {
                        "label.txt is not valid UTF-8 text: 'utf-8' codec can't decode"),
     "tree_not_utf8": ("import", "tree/tree/e1.txt", lambda b: b.replace(b"u2", b"\xfc2"),
                       "e1.txt is not valid UTF-8 text: 'utf-8' codec can't decode"),
+    "label_repeated_id": ("import", "tree/label.txt", lambda b: b + b,
+                          "label.txt line 2: story id 'e1' repeats line 1"),
+    "split_missing": ("train --split", "d.jsonl", lambda b: b, "nosuch.split.json"),
 }
 
 
@@ -356,8 +360,10 @@ def test_malformed_input_is_one_error_line(tiny_dataset, trained, tmp_path, caps
     target.write_bytes(rewrite(target.read_bytes()))
     out = tmp_path / "out"
     out.mkdir()
-    argv = {"train": ["train", "--input", str(tmp_path / "d.jsonl"), "--out", str(out / "m"),
-                      "--max-epochs", "1", "--seq-len", "5"],
+    train = ["train", "--input", str(tmp_path / "d.jsonl"), "--out", str(out / "m"),
+             "--max-epochs", "1", "--seq-len", "5"]
+    argv = {"train": train,
+            "train --split": train + ["--split", str(tmp_path / "nosuch.split.json")],
             "eval": ["eval", "--input", str(tmp_path / "d.jsonl"), "--checkpoint",
                      str(tmp_path / "m"), "--out", str(out / "r.json")],
             "import": ["import", "--input", str(tmp_path / "tree"),
@@ -379,8 +385,8 @@ def test_train_rejects_config_tau_that_differs_from_the_labels(tiny_dataset, tmp
     out.mkdir()
     assert run_command(["train", "--input", str(tiny_dataset), "--out", str(out / "m"),
                         "--config", str(cfg), "--max-epochs", "1", "--seq-len", "5"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg}: tau 3 differs from the 2 labels")
+    err = capsys.readouterr().err  # the label set fixes the class count; tau is no field
+    assert err.startswith(f"error: {cfg}: unknown config fields ['tau']")
     assert err.count("\n") == 1
     assert not list(out.iterdir())
 

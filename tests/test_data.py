@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def manifest_of(n, labels=("true", "fake")):
 
 
 def test_split_100_stories_ratios():
-    m = split_dataset(manifest_of(100), seed=0, stratified=False)
+    m = split_dataset(manifest_of(100, labels=("true",)), seed=0)
     counts = Counter(m.split.values())
     assert counts["test"] == 25
     assert counts["val"] == 11
@@ -152,7 +153,7 @@ def test_split_100_stories_ratios():
 
 
 def test_split_stratified_within_one_per_stratum():
-    m = split_dataset(manifest_of(100), seed=3, stratified=True)
+    m = split_dataset(manifest_of(100), seed=3)
     for label in ("true", "fake"):
         ids = [s.id for s in m.stories if s.label == label]
         counts = Counter(m.split[i] for i in ids)
@@ -172,9 +173,32 @@ def test_split_exhaustive_and_disjoint():
 
 
 def test_split_too_few_stratified():
+    # 4 stories of 4 labels split over all stories; 2 stories are too few to split
     m = manifest_of(4, labels=("true", "fake", "unverified", "debunking"))
+    assert Counter(split_dataset(m).split.values()) == {"test": 1, "train": 3}
     with pytest.raises(TooFewStories):
-        split_dataset(m, stratified=True)
+        split_dataset(manifest_of(2))
+
+
+def test_split_per_label_when_every_label_has_3_stories():
+    m = split_dataset(manifest_of(6), seed=4)  # over all 6 stories: 2 test, 1 val
+    for label in ("true", "fake"):
+        assert Counter(m.split[s.id] for s in m.stories if s.label == label) == \
+            {"test": 1, "train": 2}
+
+
+@pytest.mark.parametrize("labels", [
+    ["true"] * 6 + ["fake"] * 2,   # a label with fewer than 3 stories
+    ["true"] * 6,                  # a label of the label set with none
+])
+def test_split_over_all_stories_when_a_label_has_fewer_than_3(labels):
+    stories = [NewsStory(id=f"s{i}", label=label, posts=(Post(t=0.0, followers=1.0),))
+               for i, label in enumerate(labels)]
+    m = split_dataset(DatasetManifest(stories=stories, label_set=("true", "fake")), seed=4)
+    # the oracle: the same stories as one label, which split as one group
+    one_label = DatasetManifest(stories=[replace(s, label="true") for s in stories],
+                                label_set=("true",))
+    assert m.split == split_dataset(one_label, seed=4).split
 
 
 # --- synthetic generation ---

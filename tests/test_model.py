@@ -40,7 +40,7 @@ from oracles import gru_chain
 rng = np.random.default_rng(3)
 
 TOY = dict(vocab_size=8, embed_dim=3, seq_len=3, temporal_len=4,
-           E_l=4, E_u=4, E_s=4, tau=2, dropout=0.0)
+           E_l=4, E_u=4, E_s=4, dropout=0.0)
 
 
 def toy_bundle(label="true", temporal=True, seed=0, poisoned=False):
@@ -148,7 +148,7 @@ def test_config_rejects_bad_sizes_and_epoch_counts(values):
 
 
 @pytest.mark.parametrize("values", [
-    {"seed": 1.5}, {"seed": "1"}, {"seed": True}, {"E_l": 4.0}, {"tau": None},
+    {"seed": 1.5}, {"seed": "1"}, {"seed": True}, {"E_l": 4.0}, {"patience": None},
     {"dropout": "0.5"}, {"dropout": True}, {"min_improvement": float("nan")},
     {"variant": 1}, {"gru_form": None}, {"f2_dim": 2.0}, {"seq_len": "3"},
 ])
@@ -356,6 +356,19 @@ def test_label_outside_the_label_set_is_unknown(step):
             train(data[:3], data[3:], cfg)
         else:
             evaluate(data, init_params(cfg), cfg)
+
+
+def test_output_units_follow_the_label_set():
+    cfg = ModelConfig(variant="full", **TOY)
+    fourway = ("true", "fake", "unverified", "debunking")
+    params = init_params(cfg, label_set=fourway)
+    assert params["out_W"].data.shape[1] == params["out_b"].data.size == 4
+    data = make_dataset(4)
+    data[1] = dataclasses.replace(data[1], label="debunking")
+    assert evaluate(data, params, cfg, fourway).confusion.shape == (4, 4)
+    # a binary output layer cannot score four labels
+    with pytest.raises(ConfigMismatch, match="2 output units for the 4 labels"):
+        evaluate(data, init_params(cfg), cfg, fourway)
 
 
 def test_evaluate_consistency_of_report():
