@@ -80,18 +80,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def bwd(g):
-            self._accumulate(-g)
-
-        return Tensor(-self.data, parents=(self,), backward=bwd)
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other))
-
-    def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = _as_tensor(other)
         out_data = self.data * other.data
@@ -152,38 +140,11 @@ def _unbroadcast(g, shape):
     return g
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-x.data))
-
-    def bwd(g):
-        x._accumulate(g * out_data * (1.0 - out_data))
-
-    return Tensor(out_data, parents=(x,), backward=bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def bwd(g):
-        x._accumulate(g * (1.0 - out_data * out_data))
-
-    return Tensor(out_data, parents=(x,), backward=bwd)
-
-
 def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
 
     def bwd(g):
         x._accumulate(g * (x.data > 0))
-
-    return Tensor(out_data, parents=(x,), backward=bwd)
-
-
-def log(x: Tensor) -> Tensor:
-    out_data = np.log(x.data)
-
-    def bwd(g):
-        x._accumulate(g / x.data)
 
     return Tensor(out_data, parents=(x,), backward=bwd)
 
@@ -294,58 +255,3 @@ def embedding_lookup(E: Tensor, indices: np.ndarray, values: np.ndarray) -> Tens
         E._accumulate(gE)
 
     return Tensor(out_data, parents=(E,), backward=bwd)
-
-
-def embedding_sequence(E: Tensor, posts, mask: np.ndarray) -> Tensor:
-    """embedding_lookup of every real post as one (T, D) node; padded rows and
-    empty posts are zero.
-
-    posts is a sequence of T sparse vectors with `indices` and `values`.
-    """
-    T, D = len(posts), E.data.shape[1]
-    real = [t for t in range(T) if mask[t] and posts[t].indices.size]
-    if not real:
-        return Tensor(np.zeros((T, D)))
-    idx = np.concatenate([posts[t].indices for t in real])
-    vals = np.concatenate([posts[t].values for t in real])
-    rows = np.repeat(real, [posts[t].indices.size for t in real])
-    weights = np.zeros((T, idx.size))  # row t holds post t's values
-    weights[rows, np.arange(idx.size)] = vals
-    out_data = weights @ E.data[idx]
-
-    def bwd(g):
-        gE = np.zeros(E.data.shape)
-        np.add.at(gE, idx, vals[:, None] * g[rows])
-        if E.grad is None:
-            # the first contribution becomes the gradient itself; a Parameter
-            # also records the rows it touches, so AdaDelta can skip the rest
-            # (sorted unique rows; np.unique would import numpy.ma, +1.7 MB RSS)
-            E.grad = gE
-            if hasattr(E, "grad_rows"):
-                E.grad_rows = np.flatnonzero(np.bincount(idx, minlength=E.data.shape[0]))
-        else:
-            E._accumulate(gE)
-
-    return Tensor(out_data, parents=(E,), backward=bwd)
-
-
-def pick(x: Tensor, index: int) -> Tensor:
-    """Select one element of a 1-D tensor."""
-    out_data = np.asarray(x.data[index])
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[index] = g
-        x._accumulate(gx)
-
-    return Tensor(out_data, parents=(x,), backward=bwd)
-
-
-def clamp_min(x: Tensor, lo: float) -> Tensor:
-    """max(x, lo); gradient passes only through unclamped entries."""
-    out_data = np.maximum(x.data, lo)
-
-    def bwd(g):
-        x._accumulate(g * (x.data > lo))
-
-    return Tensor(out_data, parents=(x,), backward=bwd)

@@ -80,7 +80,7 @@ class NewsStory:
         object.__setattr__(self, "posts", tuple(self.posts))
 
 
-def validate_story(raw: NewsStory, label_set: tuple[str, ...] | None = None) -> NewsStory:
+def validate_story(raw: NewsStory) -> NewsStory:
     """Normalize a parsed story: sort posts by time, rebase so min t = 0.
 
     Idempotent. Raises EmptyStory, NegativeTime, InvalidValue (a NaN or
@@ -93,9 +93,9 @@ def validate_story(raw: NewsStory, label_set: tuple[str, ...] | None = None) -> 
             if p.t < 0:
                 raise NegativeTime(f"story {raw.id!r} has post at t={p.t}")
             raise InvalidValue(f"story {raw.id!r} has post at non-finite t={p.t}")
-    allowed = label_set if label_set is not None else set(FOURWAY_LABELS)
-    if raw.label not in allowed:
-        raise UnknownLabel(f"story {raw.id!r} has label {raw.label!r}, expected one of {sorted(allowed)}")
+    if raw.label not in FOURWAY_LABELS:
+        raise UnknownLabel(f"story {raw.id!r} has label {raw.label!r}, "
+                           f"expected one of {sorted(FOURWAY_LABELS)}")
     posts = sorted(raw.posts, key=lambda p: p.t)  # stable: ties keep input order
     t0 = posts[0].t
     if t0 != 0:

@@ -68,7 +68,7 @@ def _load_split(args, manifest):
     split_path = args.split or dat.split_path(args.input)
     if args.split is None and not os.path.exists(split_path):
         return dat.split_dataset(manifest, args.seed or 0)
-    manifest.split = dat.load_split(split_path)
+    manifest.split = dat.load_split(split_path, [s.id for s in manifest.stories])
     return manifest
 
 

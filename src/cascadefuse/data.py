@@ -156,13 +156,21 @@ def save_split(split: dict[str, str], dataset) -> None:
         json.dump(split, f, indent=0, sort_keys=True)
 
 
-def load_split(path) -> dict[str, str]:
-    """A split sidecar: one JSON object mapping story ids to train, val or test."""
+def load_split(path, story_ids: list[str]) -> dict[str, str]:
+    """A split sidecar: one JSON object mapping each of the dataset's story ids,
+    and no other, to train, val or test."""
     split = read_json_object(path)
     for sid, part in split.items():
         if part not in SPLIT_NAMES:
             raise ParseError(f"{path}: story {sid!r} has split {part!r}, "
                              f"not one of {list(SPLIT_NAMES)}")
+    for sid in story_ids:
+        if sid not in split:
+            raise ParseError(f"{path}: story {sid!r} of the dataset has no split")
+    known = set(story_ids)
+    for sid in split:
+        if sid not in known:
+            raise ParseError(f"{path}: story {sid!r} is not in the dataset")
     return split
 
 

@@ -64,6 +64,39 @@ class ParameterSet(dict):
             self[k].data = v.copy()
 
 
+def embedding_sequence(E: Tensor, posts, mask: np.ndarray) -> Tensor:
+    """ad.embedding_lookup of every real post as one (T, D) node; padded rows
+    and empty posts are zero.
+
+    posts is a sequence of T sparse vectors with `indices` and `values`.
+    """
+    T, D = len(posts), E.data.shape[1]
+    real = [t for t in range(T) if mask[t] and posts[t].indices.size]
+    if not real:
+        return Tensor(np.zeros((T, D)))
+    idx = np.concatenate([posts[t].indices for t in real])
+    vals = np.concatenate([posts[t].values for t in real])
+    rows = np.repeat(real, [posts[t].indices.size for t in real])
+    weights = np.zeros((T, idx.size))  # row t holds post t's values
+    weights[rows, np.arange(idx.size)] = vals
+    out_data = weights @ E.data[idx]
+
+    def bwd(g):
+        gE = np.zeros(E.data.shape)
+        np.add.at(gE, idx, vals[:, None] * g[rows])
+        if E.grad is None:
+            # the first contribution becomes the gradient itself; a Parameter
+            # also records the rows it touches, so AdaDelta can skip the rest
+            # (sorted unique rows; np.unique would import numpy.ma, +1.7 MB RSS)
+            E.grad = gE
+            if isinstance(E, Parameter):
+                E.grad_rows = np.flatnonzero(np.bincount(idx, minlength=E.data.shape[0]))
+        else:
+            E._accumulate(gE)
+
+    return Tensor(out_data, parents=(E,), backward=bwd)
+
+
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -72,24 +105,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int):
 def fc(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """Affine layer x @ W + b; broadcasts the bias over rows of a 2-D input."""
     return x @ W + b
-
-
-def gru_step(x: Tensor, h_prev: Tensor, U_z, W_z, U_r, W_r, U_h, W_h,
-             form: str = "paper") -> Tensor:
-    """One GRU update.
-
-    form="paper" gates the candidate as h_prev * (W_h @ r); form="standard"
-    uses the conventional W_h @ (r * h_prev).
-    """
-    z = ad.sigmoid(x @ U_z + h_prev @ W_z)
-    r = ad.sigmoid(x @ U_r + h_prev @ W_r)
-    if form == "paper":
-        f = ad.tanh(x @ U_h + h_prev * (r @ W_h))
-    elif form == "standard":
-        f = ad.tanh(x @ U_h + (r * h_prev) @ W_h)
-    else:
-        raise ConfigMismatch(f"unknown GRU form {form!r}")
-    return (1.0 - z) * h_prev + z * f
 
 
 @dataclass
@@ -101,7 +116,8 @@ class HiddenSequence:
 
 
 def gru_lockstep(paths, form: str = "paper") -> list[HiddenSequence]:
-    """gru_step over the real rows of several paths, one HiddenSequence each.
+    """gru_step (the tape oracle in tests/oracles.py) over the real rows of
+    several paths, one HiddenSequence each.
 
     A path is an (X, mask, weights) triple: a (T, D) input, its (T,) mask and
     gru_step's six weights. Paths of one hidden width step together: their
@@ -296,11 +312,18 @@ def cim_attention(H_l: HiddenSequence, H_u: HiddenSequence):
 
 
 def cross_entropy(z: Tensor, label: int) -> Tensor:
-    """-ln z[label], with the probability floored at 1e-12."""
+    """-ln max(z[label], PROB_FLOOR); a floored probability passes no gradient."""
     tau = z.data.shape[0]
     if not 0 <= label < tau:
         raise InvalidClass(f"label {label} outside 0..{tau - 1}")
-    return -ad.log(ad.clamp_min(ad.pick(z, label), PROB_FLOOR))
+    p = np.maximum(z.data[label], PROB_FLOOR)
+
+    def bwd(g):
+        gz = np.zeros_like(z.data)
+        gz[label] = (-g / p) * (z.data[label] > PROB_FLOOR)
+        z._accumulate(gz)
+
+    return Tensor(-np.log(p), parents=(z,), backward=bwd)
 
 
 def adadelta_step(params: ParameterSet, rho: float = 0.95, eps: float = 1e-6):

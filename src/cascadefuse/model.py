@@ -24,6 +24,7 @@ from .layers import (
     adadelta_step,
     cim_attention,
     cross_entropy,
+    embedding_sequence,
     fc,
     glorot,
     gru_lockstep,
@@ -105,35 +106,40 @@ class EvalReport:
                 "confusion": self.confusion.tolist(), "loss": self.loss}
 
 
+GRU_GATES = ("z", "r", "h")
+
+
+def param_shapes(config: ModelConfig, label_set=BINARY_LABELS) -> dict[str, tuple[int, ...]]:
+    """The name and shape of each parameter of config's network, in init_params'
+    draw order, with one output unit per label."""
+    shapes = {"embed": (config.vocab_size, config.embed_dim)}
+    paths = [("ling", config.embed_dim, config.E_l), ("user", USER_DIM, config.E_u)]
+    if config.has_temporal:
+        paths.append(("temp", 1, config.E_s))
+    for prefix, in_dim, out_dim in paths:
+        for gate in GRU_GATES:
+            shapes[f"{prefix}_U{gate}"] = (in_dim, out_dim)
+            shapes[f"{prefix}_W{gate}"] = (out_dim, out_dim)
+        shapes[f"{prefix}_fcW"] = (out_dim, out_dim)
+        shapes[f"{prefix}_fcb"] = (out_dim,)
+    f2 = config.f2_dim_effective
+    shapes |= {"f2_W": (config.e_con, f2), "f2_b": (f2,),
+               "out_W": (f2, len(label_set)), "out_b": (len(label_set),)}
+    return shapes
+
+
 def init_params(config: ModelConfig, seed: int | None = None,
                 label_set=BINARY_LABELS) -> ParameterSet:
-    """Fresh weights for config's network, with one output unit per label."""
+    """Fresh weights for config's network: glorot matrices and zero biases."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
     p = ParameterSet()
-    p.add("embed", glorot(rng, config.vocab_size, config.embed_dim))
-
-    def add_gru(prefix, in_dim, out_dim):
-        for gate in ("z", "r", "h"):
-            p.add(f"{prefix}_U{gate}", glorot(rng, in_dim, out_dim))
-            p.add(f"{prefix}_W{gate}", glorot(rng, out_dim, out_dim))
-        p.add(f"{prefix}_fcW", glorot(rng, out_dim, out_dim))
-        p.add(f"{prefix}_fcb", np.zeros(out_dim))
-
-    add_gru("ling", config.embed_dim, config.E_l)
-    add_gru("user", USER_DIM, config.E_u)
-    if config.has_temporal:
-        add_gru("temp", 1, config.E_s)
-
-    f2 = config.f2_dim_effective
-    p.add("f2_W", glorot(rng, config.e_con, f2))
-    p.add("f2_b", np.zeros(f2))
-    p.add("out_W", glorot(rng, f2, len(label_set)))
-    p.add("out_b", np.zeros(len(label_set)))
+    for name, shape in param_shapes(config, label_set).items():
+        p.add(name, glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape))
     return p
 
 
 def _gru_weights(params, prefix):
-    return tuple(params[f"{prefix}_{n}"] for n in ("Uz", "Wz", "Ur", "Wr", "Uh", "Wh"))
+    return tuple(params[f"{prefix}_{m}{gate}"] for gate in GRU_GATES for m in "UW")
 
 
 def _encode_path(seq: HiddenSequence, params, prefix, config, training, rng) -> HiddenSequence:
@@ -169,7 +175,7 @@ def forward(bundle: FeatureBundle, params: ParameterSet, config: ModelConfig,
             f"vocab size {bundle.linguistic[0].dim} != config {config.vocab_size}")
 
     mask = bundle.mask
-    paths = {"ling": (ad.embedding_sequence(params["embed"], bundle.linguistic, mask), mask),
+    paths = {"ling": (embedding_sequence(params["embed"], bundle.linguistic, mask), mask),
              "user": (Tensor(bundle.users), mask)}
     if config.has_temporal:
         paths["temp"] = (Tensor(bundle.temporal[:, None]),
@@ -408,7 +414,9 @@ def load_checkpoint(path):
         user_scaler = UserScaler(**meta["user_scaler"])
         temporal_scaler = TemporalScaler(**meta["temporal_scaler"])
         label_set = tuple(meta["label_set"])
-        params = init_params(config, label_set=label_set)
+        params = ParameterSet()
+        for name, shape in param_shapes(config, label_set).items():
+            params.add(name, np.empty(shape))
         params.load_values(values)
     except KeyError as e:
         raise ConfigMismatch(f"checkpoint {path}: missing key {e}") from None

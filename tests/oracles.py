@@ -5,7 +5,7 @@ from scipy.integrate import quad
 
 from cascadefuse import autodiff as ad
 from cascadefuse.autodiff import Tensor
-from cascadefuse.layers import gru_step
+from cascadefuse.errors import ConfigMismatch
 from cascadefuse.pointprocess import KernelParams
 
 P = KernelParams()
@@ -27,6 +27,42 @@ def quad_oracle(t_i, t, params=P, tol=1e-10):
                   lo, t, points=[t_i + params.s0] if lo < t_i + params.s0 < t else None,
                   epsabs=tol, epsrel=tol, limit=200)
     return val
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out_data = 1.0 / (1.0 + np.exp(-x.data))
+
+    def bwd(g):
+        x._accumulate(g * out_data * (1.0 - out_data))
+
+    return Tensor(out_data, parents=(x,), backward=bwd)
+
+
+def tanh(x: Tensor) -> Tensor:
+    out_data = np.tanh(x.data)
+
+    def bwd(g):
+        x._accumulate(g * (1.0 - out_data * out_data))
+
+    return Tensor(out_data, parents=(x,), backward=bwd)
+
+
+def gru_step(x: Tensor, h_prev: Tensor, U_z, W_z, U_r, W_r, U_h, W_h,
+             form: str = "paper") -> Tensor:
+    """One GRU update on the tape: the reference of layers.gru_lockstep.
+
+    form="paper" gates the candidate as h_prev * (W_h @ r); form="standard"
+    uses the conventional W_h @ (r * h_prev).
+    """
+    z = sigmoid(x @ U_z + h_prev @ W_z)
+    r = sigmoid(x @ U_r + h_prev @ W_r)
+    if form == "paper":
+        f = tanh(x @ U_h + h_prev * (r @ W_h))
+    elif form == "standard":
+        f = tanh(x @ U_h + (r * h_prev) @ W_h)
+    else:
+        raise ConfigMismatch(f"unknown GRU form {form!r}")
+    return (z * -1.0 + 1.0) * h_prev + z * f
 
 
 def gru_chain(X, mask, *weights, form="paper"):

@@ -19,7 +19,7 @@ from cascadefuse.data import (
     save_dataset,
     split_dataset,
 )
-from cascadefuse.layers import ParameterSet, cim_attention, cross_entropy, gru_step
+from cascadefuse.layers import ParameterSet, cim_attention, cross_entropy
 from cascadefuse.layers import HiddenSequence
 from cascadefuse.model import ModelConfig, evaluate, forward, init_params, timeframe_sweep, train
 from cascadefuse.pointprocess import (
@@ -33,7 +33,7 @@ from cascadefuse.pointprocess import (
     triangular_kernel,
 )
 
-from oracles import quad_oracle
+from oracles import gru_step, quad_oracle
 
 P = KernelParams()
 

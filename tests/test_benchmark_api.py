@@ -1,5 +1,6 @@
 """Every cascadefuse name that the benchmark in perfbench/ uses still exists,
-and so does every attribute it reads off a config object.
+every call it makes into cascadefuse binds to the callee's signature, and
+every attribute it reads off a config object still exists.
 
 perfbench/ is kept apart from the package, and its own tests are outside the
 default test paths, so a name or config field dropped from src/ would otherwise
@@ -10,6 +11,7 @@ there.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from cascadefuse.data import SyntheticProfile
@@ -23,9 +25,9 @@ CONFIG_OBJECTS = {"cfg": ModelConfig(), "BUNDLE_CONFIG": BundleConfig(),
                   "PROFILE": SyntheticProfile(), "kernel": KernelParams()}
 
 
-def cascadefuse_names(tree: ast.Module):
-    """(module, name) for each `from cascadefuse... import name` and each
-    `local.name` where `local` was imported as a cascadefuse module."""
+def cascadefuse_imports(tree: ast.Module):
+    """(module, name) for each `from cascadefuse... import name`, and the dotted
+    path of each local name bound by a cascadefuse import."""
     found, modules = [], {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cascadefuse":
@@ -36,6 +38,13 @@ def cascadefuse_names(tree: ast.Module):
             for alias in node.names:
                 if alias.name.split(".")[0] == "cascadefuse":
                     modules[alias.asname or alias.name] = alias.name
+    return found, modules
+
+
+def cascadefuse_names(tree: ast.Module):
+    """(module, name) for each `from cascadefuse... import name` and each
+    `local.name` where `local` was imported as a cascadefuse module."""
+    found, modules = cascadefuse_imports(tree)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules):
@@ -66,6 +75,55 @@ def test_benchmark_names_resolve():
         "cascadefuse.features", "cascadefuse.data", "cascadefuse.pointprocess"}
     missing = sorted(use for use in uses if not exists(use[1], use[2]))
     assert not missing, f"perfbench uses names that cascadefuse no longer has: {missing}"
+
+
+def callee(func: ast.expr, modules):
+    """The cascadefuse object that a call's `name` or `local.name` denotes, else None."""
+    if isinstance(func, ast.Name) and func.id in modules:
+        path = modules[func.id]
+    elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and func.value.id in modules):
+        path = f"{modules[func.value.id]}.{func.attr}"
+    else:
+        return None
+    module, _, name = path.rpartition(".")
+    return getattr(importlib.import_module(module), name, None)
+
+
+def cascadefuse_calls(tree: ast.Module):
+    """(line, callee, call) for each call of a cascadefuse function or class."""
+    _, modules = cascadefuse_imports(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            target = callee(node.func, modules)
+            if callable(target):
+                yield node.lineno, target, node
+
+
+def binds(target, call: ast.Call) -> bool:
+    """Whether call's positional count and keywords bind to target's signature;
+    a call that passes *args or **kwargs need only bind in part."""
+    args = [None] * sum(not isinstance(a, ast.Starred) for a in call.args)
+    kwargs = {k.arg: None for k in call.keywords if k.arg is not None}
+    partial = len(args) < len(call.args) or len(kwargs) < len(call.keywords)
+    signature = inspect.signature(target)
+    try:
+        (signature.bind_partial if partial else signature.bind)(*args, **kwargs)
+    except TypeError:
+        return False
+    return True
+
+
+def test_benchmark_calls_bind():
+    calls = [(f"{path.relative_to(PERFBENCH).as_posix()}:{line}", target, call)
+             for path in perfbench_files()
+             for line, target, call in cascadefuse_calls(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    # the probes call into the layers and the model, gru_unroll with *weights among them
+    assert {t.__name__ for _, t, _ in calls} >= {
+        "gru_unroll", "cross_entropy", "init_params", "forward", "train", "evaluate"}
+    broken = sorted(where for where, target, call in calls if not binds(target, call))
+    assert not broken, f"perfbench calls that no longer bind to cascadefuse: {broken}"
 
 
 def config_reads(tree: ast.Module):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cascadefuse.cascade import (
+    FOURWAY_LABELS,
     PROFILE_COUNT_FIELDS,
     NewsStory,
     Post,
@@ -61,8 +62,8 @@ def test_validate_negative_infinite_time_is_negative():
 def test_validate_unknown_label():
     with pytest.raises(UnknownLabel):
         validate_story(story([0], label="maybe"))
-    with pytest.raises(UnknownLabel):
-        validate_story(story([0], label="unverified"), label_set=("true", "fake"))
+    for label in FOURWAY_LABELS:  # the allowed labels are the four-way set
+        assert validate_story(story([0], label=label)).label == label
 
 
 def test_validate_keeps_tie_order():

@@ -311,6 +311,12 @@ def add_manifest_field(original: bytes) -> bytes:
     return json.dumps(meta).encode()
 
 
+def split_without(original: bytes, story_id: str) -> bytes:
+    split = json.loads(original)
+    del split[story_id]
+    return json.dumps(split).encode()
+
+
 # command, file replaced (as a function of its bytes), and a part of the error line;
 # "train --split" is train with a --split file that does not exist
 MALFORMED_INPUTS = {
@@ -322,6 +328,11 @@ MALFORMED_INPUTS = {
                        "d.jsonl.split.json is not valid JSON: 'utf-8' codec can't decode"),
     "split_value": ("train", "d.jsonl.split.json", lambda b: b.replace(b'"train"', b'"Train"'),
                     "has split 'Train', not one of ['train', 'val', 'test']"),
+    "split_story_missing": ("train", "d.jsonl.split.json", lambda b: split_without(b, "true-0"),
+                            "d.jsonl.split.json: story 'true-0' of the dataset has no split"),
+    "split_story_unknown": ("train", "d.jsonl.split.json",
+                            lambda b: b.replace(b"{", b'{"true-99": "train", ', 1),
+                            "d.jsonl.split.json: story 'true-99' is not in the dataset"),
     "dataset_not_utf8": ("train", "d.jsonl", lambda b: b.replace(b"news", b"n\xe9ws", 1),
                          "d.jsonl is not valid UTF-8 text: 'utf-8' codec can't decode"),
     "dataset_repeated_id": ("train", "d.jsonl", lambda b: b.split(b"\n")[0] + b"\n" + b,

@@ -13,20 +13,23 @@ from cascadefuse.errors import (
 )
 from cascadefuse.features import SparseVec
 from cascadefuse.layers import (
+    PROB_FLOOR,
     HiddenSequence,
     Parameter,
     ParameterSet,
     adadelta_step,
     cim_attention,
     cross_entropy,
+    embedding_sequence,
     fc,
     glorot,
     gru_lockstep,
-    gru_step,
     gru_unroll,
 )
 
-from oracles import gru_chain
+from oracles import gru_chain, gru_step
+from oracles import sigmoid as tape_sigmoid
+from oracles import tanh as tape_tanh
 
 rng = np.random.default_rng(1)
 
@@ -111,9 +114,10 @@ def test_gru_gate_ranges():
     w = make_gru_weights(4, 3)
     x = rng.normal(size=4) * 5
     hp = rng.normal(size=3)
-    z = ad.sigmoid(Tensor(x) @ w["Uz"] + Tensor(hp) @ w["Wz"]).data
-    r = ad.sigmoid(Tensor(x) @ w["Ur"] + Tensor(hp) @ w["Wr"]).data
-    f = ad.tanh(Tensor(x) @ w["Uh"] + Tensor(hp) * (ad.sigmoid(Tensor(np.zeros(3))) @ w["Wh"])).data
+    z = tape_sigmoid(Tensor(x) @ w["Uz"] + Tensor(hp) @ w["Wz"]).data
+    r = tape_sigmoid(Tensor(x) @ w["Ur"] + Tensor(hp) @ w["Wr"]).data
+    r0 = tape_sigmoid(Tensor(np.zeros(3)))
+    f = tape_tanh(Tensor(x) @ w["Uh"] + Tensor(hp) * (r0 @ w["Wh"])).data
     assert np.all((z > 0) & (z < 1)) and np.all((r > 0) & (r < 1))
     assert np.all((f > -1) & (f < 1))
 
@@ -379,6 +383,38 @@ def test_cross_entropy_invalid_class():
         cross_entropy(Tensor(np.array([0.5, 0.5])), 2)
 
 
+@pytest.mark.parametrize("p", [0.7, 1.0, 1e-12, 3e-13])
+def test_cross_entropy_is_bit_equal_to_pick_clamp_log_negate(p):
+    z = Tensor(np.array([1.0 - p, p, 0.0]), requires_grad=True)
+    loss = cross_entropy(z, 1)
+    loss.backward()
+    # the composition -log(clamp_min(pick(z, 1), PROB_FLOOR)) in numpy: forward,
+    # then each node's backward from the root's gradient 1.0
+    picked = z.data[1]
+    clamped = np.maximum(picked, PROB_FLOOR)
+    want_loss = -np.log(clamped)
+    g = -np.ones(())               # negate
+    g = g / clamped                # log
+    g = g * (picked > PROB_FLOOR)  # clamp_min
+    want_grad = np.zeros(3)
+    want_grad[1] = g               # pick
+    assert loss.data.tobytes() == np.asarray(want_loss).tobytes()
+    assert z.grad.tobytes() == want_grad.tobytes()
+    # a floored probability passes -0.0
+    assert (z.grad[1] == 0) == (p <= PROB_FLOOR) and np.signbit(z.grad[1])
+
+
+def test_cross_entropy_gradient_matches_finite_differences():
+    z0 = np.array([0.2, 0.7, 0.1])
+    z = Tensor(z0.copy(), requires_grad=True)
+    cross_entropy(z, 1).backward()
+    step = 1e-6
+    fd = [(float(cross_entropy(Tensor(z0 + step * e), 1).data)
+           - float(cross_entropy(Tensor(z0 - step * e), 1).data)) / (2 * step)
+          for e in np.eye(3)]
+    assert np.allclose(z.grad, fd, rtol=1e-8, atol=1e-10)
+
+
 # --- adadelta ---
 
 def test_adadelta_zero_gradient_no_change():
@@ -473,7 +509,7 @@ def embedding_loss(ps, posts, mask, upstream, lookups=()):
     """A scalar of one story's embedded posts plus the bias, and optional
     embedding_lookup terms on the same E in the same graph, added first or last."""
     E = ps["embed"]
-    seq = ad.embedding_sequence(E, posts, mask) + ps["bias"]
+    seq = embedding_sequence(E, posts, mask) + ps["bias"]
     loss = (seq * Tensor(upstream)).sum()
     for first, idx, vals, w in lookups:
         term = (ad.embedding_lookup(E, np.asarray(idx), np.asarray(vals)) * Tensor(w)).sum()

@@ -282,7 +282,7 @@ def test_train_trajectory_matches_tape_oracle(monkeypatch, gru_form):
 
     with monkeypatch.context() as m:
         m.setattr(model, "gru_lockstep", oracle)
-        m.setattr(ad, "embedding_sequence", tape_embedding_sequence)
+        m.setattr(model, "embedding_sequence", tape_embedding_sequence)
         tape, h_tape, _ = train(data[:6], data[6:], cfg)
     assert len(oracle_paths) == 3 * (3 * 6 + 3 * 2)  # three paths per forward pass
     assert len(h_fused.train_loss) == 3
@@ -446,3 +446,26 @@ def test_checkpoint_roundtrip(tmp_path):
     assert params.keys() == ps.keys()
     for k in ps:
         assert np.array_equal(params[k].data, ps[k].data)
+
+
+def test_checkpoint_loads_without_drawing_weights(tmp_path, monkeypatch):
+    # load_checkpoint takes the shapes from param_shapes, not from fresh weights
+    cfg = ModelConfig(variant="no_cim", **dict(TOY, E_u=3))
+    label_set = ("true", "fake", "unverified")
+    ps = init_params(cfg, seed=4, label_set=label_set)
+    assert {k: p.data.shape for k, p in ps.items()} == model.param_shapes(cfg, label_set)
+    path = tmp_path / "ckpt"
+    save_checkpoint(path, ps, cfg, Vocabulary(terms=tuple("abcdefgh"), idf=np.ones(8)),
+                    UserScaler(means=np.zeros(N_COUNTS), stds=np.ones(N_COUNTS)),
+                    TemporalScaler(), label_set)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random weights")
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "glorot", draw)
+        m.setattr(np.random, "default_rng", draw)
+        params = load_checkpoint(path)[0]
+    assert list(params) == list(ps)
+    for k in ps:
+        assert np.array_equal(params[k].data, ps[k].data), k
