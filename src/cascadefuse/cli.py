@@ -63,20 +63,20 @@ def cmd_infectiousness(args):
     return 0
 
 
-def _load_split(args, manifest):
-    """The split of --split (which must exist), else of the input's sidecar, else a fresh one."""
+def _load_split(args, manifest, seed=0):
+    """The split of --split (which must exist), else of the input's sidecar, else a fresh
+    one made with --seed if it is given, else with seed."""
     split_path = args.split or dat.split_path(args.input)
     if args.split is None and not os.path.exists(split_path):
-        return dat.split_dataset(manifest, args.seed or 0)
+        return dat.split_dataset(manifest, seed if args.seed is None else args.seed)
     manifest.split = dat.load_split(split_path, [s.id for s in manifest.stories])
     return manifest
 
 
 def _prepare(args):
     """Setup of train, ablate and sweep: the config (--config file, then flags;
-    vocab_size as the vocabulary built fixes it) and the featurizer fit on train."""
-    manifest = _load_split(args, dat.load_dataset(args.input))
-    splits = manifest.by_split()
+    vocab_size as the vocabulary built fixes it), the split, made with the config's seed if
+    the input has no sidecar, and the featurizer fit on train."""
     values = mdl.config_fields(dat.read_json_object(args.config), args.config) \
         if args.config else {}
     # CLI flags override file values
@@ -85,6 +85,8 @@ def _prepare(args):
         if v is not None:
             values[name] = v
     config = mdl.ModelConfig(**values)
+    manifest = _load_split(args, dat.load_dataset(args.input), config.seed)
+    splits = manifest.by_split()
     train_stories = splits.get("train", [])
     vocab = feat.build_vocabulary(train_stories, K=config.vocab_size)
     scaler = feat.fit_user_scaler(train_stories)
@@ -106,9 +108,10 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    manifest = _load_split(args, dat.load_dataset(args.input))
+    dataset = dat.load_dataset(args.input)
     params, config, vocab, scaler, tscaler, label_set = mdl.load_checkpoint(args.checkpoint)
-    test = {"test": manifest.by_split().get("test", [])}
+    # without a sidecar, split as train did: with the checkpoint's seed unless --seed is given
+    test = {"test": _load_split(args, dataset, config.seed).by_split().get("test", [])}
     report = mdl.evaluate(feat.build_bundles(test, vocab, scaler, config)["test"], params,
                           config, label_set=label_set, scaler=tscaler)
     with open(args.out, "w", encoding="utf-8") as f:

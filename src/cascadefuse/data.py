@@ -79,12 +79,21 @@ def _story_from_obj(obj: dict) -> tuple[NewsStory, tuple[str, ...]]:
     return story, tuple(obj.get("label_set") or ())
 
 
+def distinct_labels(label_set) -> tuple[str, ...]:
+    """label_set as a tuple; MixedLabelSets if it names a label twice."""
+    label_set = tuple(label_set)
+    for i, label in enumerate(label_set):
+        if label in label_set[:i]:
+            raise MixedLabelSets(f"label set {list(label_set)} repeats label {label!r}")
+    return label_set
+
+
 def _label_set(labels: set, declared_sets=()) -> tuple[str, ...]:
     """The one declared label set, else the binary set if it holds every label, else four-way."""
     if len(declared_sets) > 1:
         raise MixedLabelSets(f"conflicting declared label sets: {sorted(declared_sets)}")
-    label_set = next(iter(declared_sets), BINARY_LABELS if labels <= set(BINARY_LABELS)
-                     else FOURWAY_LABELS)
+    label_set = distinct_labels(next(iter(declared_sets), BINARY_LABELS
+                                     if labels <= set(BINARY_LABELS) else FOURWAY_LABELS))
     unknown = labels - set(label_set)
     if unknown:
         raise MixedLabelSets(f"labels {sorted(unknown)} outside declared set {label_set}")

@@ -73,8 +73,13 @@ class Vocabulary:
 
     def __post_init__(self):
         object.__setattr__(self, "idf", np.asarray(self.idf, dtype=float))
-        if len(self.terms) != len(self.idf):
+        if self.idf.shape != (len(self.terms),):
             raise InvalidValue("terms and idf lengths differ")
+        if not np.isfinite(self.idf).all():
+            raise InvalidValue("idf values must be finite")
+        if not all(isinstance(t, str) for t in self.terms) or \
+                len(set(self.terms)) != len(self.terms):
+            raise InvalidValue("vocabulary terms must be distinct strings")
 
     @property
     def size(self) -> int:
@@ -146,8 +151,13 @@ class UserScaler:
     stds: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=float))
-        object.__setattr__(self, "stds", np.asarray(self.stds, dtype=float))
+        for name in ("means", "stds"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (N_COUNTS,) or not np.isfinite(value).all():
+                raise InvalidValue(f"user scaler {name} must be {N_COUNTS} finite numbers")
+            object.__setattr__(self, name, value)
+        if not (self.stds > 0).all():
+            raise InvalidValue("user scaler stds must be positive")
 
 
 def fit_user_scaler(corpus: list[NewsStory]) -> UserScaler:
@@ -186,12 +196,10 @@ class BundleConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):  # ModelConfig's fields too
-            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
-            if value is None and kind != f.type:
-                continue
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ConfigMismatch(f"{f.name} {value!r} is not of type {f.type}")
-            if kind == "float" and not math.isfinite(value):
+            if f.type == "float" and not math.isfinite(value):
                 raise ConfigMismatch(f"{f.name} {value!r} is not finite")
         if self.variant not in VARIANTS:
             raise ConfigMismatch(f"unknown variant {self.variant!r}")

@@ -14,7 +14,6 @@ from .autodiff import Tensor
 from .errors import ConfigMismatch, DimensionalityMismatch, InvalidClass, ShapeMismatch
 
 PROB_FLOOR = 1e-12
-GRU_FORMS = ("paper", "standard")
 
 
 class Parameter(Tensor):
@@ -115,7 +114,7 @@ class HiddenSequence:
     mask: np.ndarray     # (T,) bool
 
 
-def gru_lockstep(paths, form: str = "paper") -> list[HiddenSequence]:
+def gru_lockstep(paths) -> list[HiddenSequence]:
     """gru_step (the tape oracle in tests/oracles.py) over the real rows of
     several paths, one HiddenSequence each.
 
@@ -126,8 +125,6 @@ def gru_lockstep(paths, form: str = "paper") -> list[HiddenSequence]:
     tape node whose backward is hand-written backpropagation through time.
     Padded rows emit zero states and do not advance the carried state.
     """
-    if form not in GRU_FORMS:
-        raise ConfigMismatch(f"unknown GRU form {form!r}")
     masks = [np.asarray(mask, dtype=bool) for _, mask, _ in paths]
     reals = [np.flatnonzero(mask) for mask in masks]
     states: list = [None] * len(paths)
@@ -144,13 +141,13 @@ def gru_lockstep(paths, form: str = "paper") -> list[HiddenSequence]:
     for group in groups.values():
         group.sort(key=lambda i: -reals[i].size)  # the paths still stepping are a prefix
         outs = _gru_group([paths[i][0] for i in group], [reals[i] for i in group],
-                          [tuple(paths[i][2]) for i in group], form == "paper")
+                          [tuple(paths[i][2]) for i in group])
         for i, out in zip(group, outs):
             states[i] = out
     return [HiddenSequence(states=s, mask=mask) for s, mask in zip(states, masks)]
 
 
-def _gru_group(Xs, reals, weights, paper: bool) -> list[Tensor]:
+def _gru_group(Xs, reals, weights) -> list[Tensor]:
     """The states of paths of one hidden width, longest first; see gru_lockstep.
 
     A one-path group returns its tape node. Otherwise the node's rows stack the
@@ -176,7 +173,7 @@ def _gru_group(Xs, reals, weights, paper: bool) -> list[Tensor]:
     H = np.zeros((n + 1, P, 1, E))  # H[k, p] is the state entering path p's real step k
     ZR = np.zeros((n, P, 1, 2 * E))
     F = np.zeros((n, P, 1, E))      # candidate
-    A = np.zeros((n, P, 1, E))      # paper: r @ W_h; standard: r * h
+    A = np.zeros((n, P, 1, E))      # r @ W_h
     Z, R = ZR[..., :E], ZR[..., E:]
     for a, lo, hi in phases:
         live = slice(None, a) if a > 1 else 0  # a lone path steps as plain 2-D rows
@@ -189,12 +186,8 @@ def _gru_group(Xs, reals, weights, paper: bool) -> list[Tensor]:
             np.exp(zr, out=zr)
             zr += 1.0
             np.divide(1.0, zr, out=zr)
-            if paper:
-                np.matmul(r, Wh_a, out=ra)
-                np.multiply(h, ra, out=f)
-            else:
-                np.multiply(r, h, out=ra)
-                np.matmul(ra, Wh_a, out=f)
+            np.matmul(r, Wh_a, out=ra)
+            np.multiply(h, ra, out=f)
             f += q_h
             np.tanh(f, out=f)
             np.subtract(1.0, z, out=h_next)  # h_next = (1 - z) * h + z * f
@@ -215,7 +208,7 @@ def _gru_group(Xs, reals, weights, paper: bool) -> list[Tensor]:
         one_z, one_r = one_zr[..., :E], one_zr[..., E:]
         dP_zr = np.empty((n, P, 1, 2 * E))
         dP_h = np.empty((n, P, 1, E))
-        dA = np.empty((n, P, 1, E))      # paper only: gradient of r @ W_h
+        dA = np.empty((n, P, 1, E))      # gradient of r @ W_h
         dZ, dR = dP_zr[..., :E], dP_zr[..., E:]
         dh = np.zeros((P, 1, E))
         for a, lo, hi in phases[::-1]:
@@ -229,14 +222,9 @@ def _gru_group(Xs, reals, weights, paper: bool) -> list[Tensor]:
                 np.multiply(d, z, out=dp_h)  # dp_h = d * z * (1 - f * f)
                 dp_h *= o_ff
                 dprev = d * o_z
-                if paper:
-                    np.multiply(dp_h, h, out=da)
-                    dprev += dp_h * ra
-                    np.matmul(da, Wh_T, out=dr)
-                else:
-                    dra = np.matmul(dp_h, Wh_T)
-                    np.multiply(dra, h, out=dr)
-                    dprev += dra * r
+                np.multiply(dp_h, h, out=da)
+                dprev += dp_h * ra
+                np.matmul(da, Wh_T, out=dr)
                 dr *= r                      # dr = dr * r * (1 - r)
                 dr *= o_r
                 np.multiply(d, fh, out=dz)   # dz = d * (f - h) * z * (1 - z)
@@ -248,9 +236,8 @@ def _gru_group(Xs, reals, weights, paper: bool) -> list[Tensor]:
             if not read[p]:
                 continue
             x, dzr, dph, Hp = Xr[p], dP_zr[:m, p, 0], dP_h[:m, p, 0], H[:m, p, 0]
-            dWh = ZR[:m, p, 0, E:].T @ dA[:m, p, 0] if paper else A[:m, p, 0].T @ dph
             grads = (x.T @ dzr[:, :E], Hp.T @ dzr[:, :E], x.T @ dzr[:, E:],
-                     Hp.T @ dzr[:, E:], x.T @ dph, dWh)
+                     Hp.T @ dzr[:, E:], x.T @ dph, R[:m, p, 0].T @ dA[:m, p, 0])
             for wt, gw in zip(w, grads):
                 if wt.requires_grad:
                     wt._accumulate(gw)
@@ -280,8 +267,13 @@ def _gru_group(Xs, reals, weights, paper: bool) -> list[Tensor]:
 
 def gru_unroll(inputs: list[Tensor], mask: np.ndarray, *weights,
                form: str = "paper") -> HiddenSequence:
-    """gru_lockstep of one path: 1-D step inputs, their mask and gru_step's six weights."""
-    return gru_lockstep([(ad.stack_rows(inputs), mask, weights)], form=form)[0]
+    """gru_lockstep of one path: 1-D step inputs, their mask and gru_step's six weights.
+
+    form names the GRU and may only be the paper's; the benchmark's probes pass it.
+    """
+    if form != "paper":
+        raise ConfigMismatch(f"unknown GRU form {form!r}")
+    return gru_lockstep([(ad.stack_rows(inputs), mask, weights)])[0]
 
 
 def cim_attention(H_l: HiddenSequence, H_u: HiddenSequence):

@@ -5,20 +5,23 @@ evaluation, grid search, the time-frame sweep, and the checkpoint format."""
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .cascade import BINARY_LABELS
-from .data import read_json_object
-from .errors import CascadeFuseError, ConfigMismatch, EmptyDataset, EmptySpace, UnknownLabel
+from .data import distinct_labels, read_json_object
+from .errors import (CascadeFuseError, ConfigMismatch, EmptyDataset, EmptySpace, InvalidValue,
+                     UnknownLabel)
 from .features import (DEFAULT_VOCAB_SIZE, USER_DIM, BundleConfig, FeatureBundle, UserScaler,
                        Vocabulary, build_bundles)
 from .layers import (
-    GRU_FORMS,
     HiddenSequence,
     ParameterSet,
     adadelta_step,
@@ -40,25 +43,21 @@ class ModelConfig(BundleConfig):
     E_l: int = 32
     E_u: int = 32
     E_s: int = 32
-    f2_dim: int | None = None     # defaults to E_con
     dropout: float = 0.5
     max_epochs: int = 500
     patience: int = 10
-    min_improvement: float = 1e-6
     seed: int = 0
-    gru_form: str = "paper"
+    gru_form: ClassVar[str] = "paper"  # the paper's GRU; fixed, not stored in checkpoints
 
     def __post_init__(self):
         super().__post_init__()
         if self.has_cim and self.E_l != self.E_u:
             raise ConfigMismatch("CIM requires E_l == E_u")
-        if self.gru_form not in GRU_FORMS:
-            raise ConfigMismatch(f"unknown GRU form {self.gru_form!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigMismatch(f"dropout {self.dropout!r} outside [0, 1)")
-        for name in ("max_epochs", "patience", "embed_dim", "E_l", "E_u", "E_s", "f2_dim"):
+        for name in ("max_epochs", "patience", "embed_dim", "E_l", "E_u", "E_s"):
             value = getattr(self, name)
-            if value is not None and value < 1:  # f2_dim None stands for E_con
+            if value < 1:
                 raise ConfigMismatch(f"{name} {value!r} must be at least 1")
         if self.vocab_size < 0:  # 0 is legal: tree imports carry no text
             raise ConfigMismatch(f"vocab_size {self.vocab_size!r} must not be negative")
@@ -80,10 +79,6 @@ class ModelConfig(BundleConfig):
         if self.has_temporal:
             dim += self.E_s
         return dim
-
-    @property
-    def f2_dim_effective(self) -> int:
-        return self.f2_dim if self.f2_dim is not None else self.e_con
 
 
 def config_fields(values, source) -> dict:
@@ -107,6 +102,7 @@ class EvalReport:
 
 
 GRU_GATES = ("z", "r", "h")
+MIN_IMPROVEMENT = 1e-6  # a smaller fall in validation loss counts as no improvement
 
 
 def param_shapes(config: ModelConfig, label_set=BINARY_LABELS) -> dict[str, tuple[int, ...]]:
@@ -122,9 +118,9 @@ def param_shapes(config: ModelConfig, label_set=BINARY_LABELS) -> dict[str, tupl
             shapes[f"{prefix}_W{gate}"] = (out_dim, out_dim)
         shapes[f"{prefix}_fcW"] = (out_dim, out_dim)
         shapes[f"{prefix}_fcb"] = (out_dim,)
-    f2 = config.f2_dim_effective
-    shapes |= {"f2_W": (config.e_con, f2), "f2_b": (f2,),
-               "out_W": (f2, len(label_set)), "out_b": (len(label_set),)}
+    e_con = config.e_con  # the head's hidden layer is as wide as its input
+    shapes |= {"f2_W": (e_con, e_con), "f2_b": (e_con,),
+               "out_W": (e_con, len(label_set)), "out_b": (len(label_set),)}
     return shapes
 
 
@@ -181,8 +177,7 @@ def forward(bundle: FeatureBundle, params: ParameterSet, config: ModelConfig,
         paths["temp"] = (Tensor(bundle.temporal[:, None]),
                          np.ones(config.temporal_len, dtype=bool))
     # the GRUs draw no random numbers, so stepping them first keeps the dropout stream
-    seqs = gru_lockstep([(X, m, _gru_weights(params, name)) for name, (X, m) in paths.items()],
-                        form=config.gru_form)
+    seqs = gru_lockstep([(X, m, _gru_weights(params, name)) for name, (X, m) in paths.items()])
     H_l, H_u, *H_s = [_encode_path(seq, params, name, config, training, rng)
                       for seq, name in zip(seqs, paths)]
 
@@ -211,6 +206,15 @@ class TemporalScaler:
 
     mean: float = 0.0
     std: float = 1.0
+
+    def __post_init__(self):
+        for name in ("mean", "std"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise InvalidValue(f"temporal scaler {name} {value!r} is not a finite number")
+        if self.std <= 0:
+            raise InvalidValue(f"temporal scaler std {self.std!r} is not positive")
 
     def apply(self, bundle: FeatureBundle) -> FeatureBundle:
         if bundle.temporal is None:
@@ -276,7 +280,7 @@ def train(train_bundles: list[FeatureBundle], val_bundles: list[FeatureBundle],
 
         val_loss = evaluate(val_bundles, params, config, label_set).loss
         history.val_loss.append(val_loss)
-        if val_loss < best_val - config.min_improvement:
+        if val_loss < best_val - MIN_IMPROVEMENT:
             best_val = val_loss
             best_values = params.copy_values()
             history.best_epoch = epoch
@@ -369,7 +373,7 @@ def timeframe_sweep(stories_by_split, vocab, user_scaler, days: list[int],
     return [(d, report.accuracy) for d, report in zip(days, reports)]
 
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def checkpoint_base(path) -> str:
@@ -413,11 +417,14 @@ def load_checkpoint(path):
                            idf=meta["vocabulary"]["idf"])
         user_scaler = UserScaler(**meta["user_scaler"])
         temporal_scaler = TemporalScaler(**meta["temporal_scaler"])
-        label_set = tuple(meta["label_set"])
+        label_set = distinct_labels(meta["label_set"])
         params = ParameterSet()
         for name, shape in param_shapes(config, label_set).items():
             params.add(name, np.empty(shape))
         params.load_values(values)
+        bad = sorted(name for name, v in values.items() if not np.isfinite(v).all())
+        if bad:
+            raise ConfigMismatch(f"parameters {bad} hold values that are not finite")
     except KeyError as e:
         raise ConfigMismatch(f"checkpoint {path}: missing key {e}") from None
     except (TypeError, ValueError, EOFError, zipfile.BadZipFile, CascadeFuseError) as e:

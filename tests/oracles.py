@@ -5,7 +5,6 @@ from scipy.integrate import quad
 
 from cascadefuse import autodiff as ad
 from cascadefuse.autodiff import Tensor
-from cascadefuse.errors import ConfigMismatch
 from cascadefuse.pointprocess import KernelParams
 
 P = KernelParams()
@@ -47,25 +46,16 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor(out_data, parents=(x,), backward=bwd)
 
 
-def gru_step(x: Tensor, h_prev: Tensor, U_z, W_z, U_r, W_r, U_h, W_h,
-             form: str = "paper") -> Tensor:
-    """One GRU update on the tape: the reference of layers.gru_lockstep.
-
-    form="paper" gates the candidate as h_prev * (W_h @ r); form="standard"
-    uses the conventional W_h @ (r * h_prev).
-    """
+def gru_step(x: Tensor, h_prev: Tensor, U_z, W_z, U_r, W_r, U_h, W_h) -> Tensor:
+    """One GRU update on the tape, the paper's form, whose candidate is gated as
+    h_prev * (r @ W_h): the reference of layers.gru_lockstep."""
     z = sigmoid(x @ U_z + h_prev @ W_z)
     r = sigmoid(x @ U_r + h_prev @ W_r)
-    if form == "paper":
-        f = tanh(x @ U_h + h_prev * (r @ W_h))
-    elif form == "standard":
-        f = tanh(x @ U_h + (r * h_prev) @ W_h)
-    else:
-        raise ConfigMismatch(f"unknown GRU form {form!r}")
+    f = tanh(x @ U_h + h_prev * (r @ W_h))
     return (z * -1.0 + 1.0) * h_prev + z * f
 
 
-def gru_chain(X, mask, *weights, form="paper"):
+def gru_chain(X, mask, *weights):
     """The tape oracle: one gru_step per real row of X, each reading its row
     through X.T @ one-hot so that X's gradient flows through the tape."""
     T, E = X.data.shape[0], weights[0].data.shape[1]
@@ -73,6 +63,6 @@ def gru_chain(X, mask, *weights, form="paper"):
     rows = []
     for t in range(T):
         if mask[t]:
-            h = gru_step(X.T @ Tensor(np.eye(T)[t]), h, *weights, form=form)
+            h = gru_step(X.T @ Tensor(np.eye(T)[t]), h, *weights)
         rows.append(h if mask[t] else zero)
     return ad.stack_rows(rows)

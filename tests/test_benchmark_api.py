@@ -1,6 +1,7 @@
 """Every cascadefuse name that the benchmark in perfbench/ uses still exists,
-every call it makes into cascadefuse binds to the callee's signature, and
-every attribute it reads off a config object still exists.
+every call it makes into cascadefuse binds to the callee's signature, every
+attribute it reads off a config object still exists, and every parameter it
+reads by name is one that the model has.
 
 perfbench/ is kept apart from the package, and its own tests are outside the
 default test paths, so a name or config field dropped from src/ would otherwise
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from cascadefuse.data import SyntheticProfile
 from cascadefuse.features import BundleConfig
-from cascadefuse.model import ModelConfig
+from cascadefuse.model import ModelConfig, param_shapes
 from cascadefuse.pointprocess import KernelParams
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -149,3 +150,27 @@ def test_benchmark_config_reads_resolve():
         {(obj, attr) for _, obj, attr in reads}
     missing = sorted(read for read in reads if not hasattr(CONFIG_OBJECTS[read[1]], read[2]))
     assert not missing, f"perfbench reads config attributes that no longer exist: {missing}"
+
+
+def param_reads(tree: ast.Module):
+    """Each string-literal key of a `params["..."]` read."""
+    return [node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "params" and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)]
+
+
+def test_benchmark_parameter_names_exist(monkeypatch):
+    shapes = param_shapes(ModelConfig())
+    reads = {(path.relative_to(PERFBENCH).as_posix(), name)
+             for path in perfbench_files()
+             for name in param_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    # the probes read the embedding and the head's weights by name
+    assert {name for _, name in reads} >= {"embed", "f2_W", "f2_b", "out_W", "out_b"}
+    missing = sorted(read for read in reads if read[1] not in shapes)
+    assert not missing, f"perfbench reads parameters that the model no longer has: {missing}"
+    # and each path's six GRU weights by names that tracing builds
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    for prefix in ("ling", "user", "temp"):
+        assert len(tracing._gru_weights(shapes, prefix)) == 6

@@ -305,10 +305,28 @@ def object_array_npz(original: bytes) -> bytes:
     return buf.getvalue()
 
 
-def add_manifest_field(original: bytes) -> bytes:
-    meta = json.loads(original)
-    meta["config"]["user_dim"] = 8
-    return json.dumps(meta).encode()
+def npz_with(name: str, value: float):
+    """A rewrite of the checkpoint's arrays with the first entry of parameter name set to value."""
+    def rewrite(original: bytes) -> bytes:
+        with np.load(io.BytesIO(original)) as npz:
+            values = dict(npz)
+        values[name].flat[0] = value
+        buf = io.BytesIO()
+        np.savez(buf, **values)
+        return buf.getvalue()
+    return rewrite
+
+
+def manifest_with(path: tuple, value):
+    """A rewrite of the checkpoint manifest with the entry at path (keys and indices) set
+    to value."""
+    def rewrite(original: bytes) -> bytes:
+        meta = target = json.loads(original)
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return json.dumps(meta).encode()
+    return rewrite
 
 
 def split_without(original: bytes, story_id: str) -> bytes:
@@ -344,8 +362,35 @@ MALFORMED_INPUTS = {
     "npz_empty": ("eval", "m.npz", lambda b: b"", "No data left in file"),
     "npz_object_array": ("eval", "m.npz", object_array_npz,
                          "Object arrays cannot be loaded"),
-    "manifest_field": ("eval", "m.json", add_manifest_field,
+    "manifest_field": ("eval", "m.json", manifest_with(("config", "user_dim"), 8),
                        "unknown config fields ['user_dim']"),
+    "npz_nan": ("eval", "m.npz", npz_with("f2_W", float("nan")),
+                "parameters ['f2_W'] hold values that are not finite"),
+    "npz_inf": ("eval", "m.npz", npz_with("out_b", float("-inf")),
+                "parameters ['out_b'] hold values that are not finite"),
+    "user_stds_zero": ("eval", "m.json", manifest_with(("user_scaler", "stds"), [0.0] * 6),
+                       "user scaler stds must be positive"),
+    "user_means_null": ("eval", "m.json", manifest_with(("user_scaler", "means"), None),
+                        "user scaler means must be 6 finite numbers"),
+    "user_means_short": ("eval", "m.json", manifest_with(("user_scaler", "means"), [0.0] * 3),
+                         "user scaler means must be 6 finite numbers"),
+    "idf_nan": ("eval", "m.json", manifest_with(("vocabulary", "idf", 0), float("nan")),
+                "idf values must be finite"),
+    "temporal_std_zero": ("eval", "m.json", manifest_with(("temporal_scaler", "std"), 0),
+                          "temporal scaler std 0 is not positive"),
+    "temporal_std_negative": ("eval", "m.json", manifest_with(("temporal_scaler", "std"), -1),
+                              "temporal scaler std -1 is not positive"),
+    "temporal_mean_string": ("eval", "m.json", manifest_with(("temporal_scaler", "mean"), "x"),
+                             "temporal scaler mean 'x' is not a finite number"),
+    "temporal_mean_null": ("eval", "m.json", manifest_with(("temporal_scaler", "mean"), None),
+                           "temporal scaler mean None is not a finite number"),
+    "manifest_label_repeated": ("eval", "m.json",
+                                manifest_with(("label_set",), ["true", "fake", "true"]),
+                                "label set ['true', 'fake', 'true'] repeats label 'true'"),
+    "label_set_repeated": ("validate", "d.jsonl",
+                           lambda b: b.replace(b'"label_set": ["true", "fake"]',
+                                               b'"label_set": ["true", "fake", "true"]'),
+                           "label set ['true', 'fake', 'true'] repeats label 'true'"),
     "label_not_utf8": ("import", "tree/label.txt", lambda b: b.replace(b"false", b"f\xe4lse"),
                        "label.txt is not valid UTF-8 text: 'utf-8' codec can't decode"),
     "tree_not_utf8": ("import", "tree/tree/e1.txt", lambda b: b.replace(b"u2", b"\xfc2"),
@@ -373,7 +418,8 @@ def test_malformed_input_is_one_error_line(tiny_dataset, trained, tmp_path, caps
     out.mkdir()
     train = ["train", "--input", str(tmp_path / "d.jsonl"), "--out", str(out / "m"),
              "--max-epochs", "1", "--seq-len", "5"]
-    argv = {"train": train,
+    argv = {"validate": ["validate", "--input", str(tmp_path / "d.jsonl")],
+            "train": train,
             "train --split": train + ["--split", str(tmp_path / "nosuch.split.json")],
             "eval": ["eval", "--input", str(tmp_path / "d.jsonl"), "--checkpoint",
                      str(tmp_path / "m"), "--out", str(out / "r.json")],
@@ -421,6 +467,9 @@ def test_train_rejects_config_keys_that_are_not_fields(tiny_dataset, tmp_path, c
     ('{"dropout": "0.5"}', "dropout '0.5' is not of type float"),
     ('{"seed": 1.5}', "seed 1.5 is not of type int"),
     ('{"patience": true}', "patience True is not of type int"),
+    ('{"gru_form": "standard"}', "unknown config fields ['gru_form']"),
+    ('{"f2_dim": 8}', "unknown config fields ['f2_dim']"),
+    ('{"min_improvement": 0}', "unknown config fields ['min_improvement']"),
 ])
 def test_train_rejects_config_file_that_is_not_a_config(tiny_dataset, tmp_path, capsys,
                                                         text, message):
@@ -454,14 +503,12 @@ def test_train_without_val_split_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("values, message", [
-    ({"gru_form": "bogus"}, "error: unknown GRU form 'bogus'"),
     ({"dropout": 1.0}, "error: dropout 1.0 outside [0, 1)"),
     ({"dropout": -0.1}, "error: dropout -0.1 outside [0, 1)"),
     ({"E_l": -1, "E_u": -1}, "error: E_l -1 must be at least 1"),
     ({"E_s": 0}, "error: E_s 0 must be at least 1"),
     ({"E_l": 0, "E_u": 0}, "error: E_l 0 must be at least 1"),
     ({"embed_dim": 0}, "error: embed_dim 0 must be at least 1"),
-    ({"f2_dim": 0}, "error: f2_dim 0 must be at least 1"),
 ])
 def test_train_rejects_invalid_model_config(tiny_dataset, tmp_path, capsys, values, message):
     cfg = tmp_path / "cfg.json"
@@ -532,6 +579,23 @@ def test_split_without_sidecar_follows_generate_synthetic(trained, tmp_path):
         report = tmp_path / f"{path.stem}.report.json"
         assert run_command(["eval", "--input", str(path), "--seed", "5", "--checkpoint",
                             str(trained), "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_eval_without_seed_splits_with_the_checkpoint_seed(tiny_dataset, tmp_path):
+    # with no sidecar, train splits with --seed 3, and eval without --seed must split the
+    # same way, so that it scores only stories that training did not see
+    bare = tmp_path / "bare.jsonl"
+    shutil.copy(tiny_dataset, bare)
+    ckpt = tmp_path / "m"
+    assert run_command(["train", "--input", str(bare), "--out", str(ckpt), "--seed", "3",
+                        "--max-epochs", "1", "--seq-len", "5"]) == 0
+    reports = []
+    for seed in ([], ["--seed", "3"]):
+        report = tmp_path / f"r{len(reports)}.json"
+        assert run_command(["eval", "--input", str(bare), "--checkpoint", str(ckpt),
+                            "--out", str(report)] + seed) == 0
         reports.append(report.read_bytes())
     assert reports[0] == reports[1]
 

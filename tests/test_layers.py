@@ -49,9 +49,9 @@ def gru_args(w):
     return (w["Uz"], w["Wz"], w["Ur"], w["Wr"], w["Uh"], w["Wh"])
 
 
-def gru_sequence(X, mask, *weights, form="paper"):
+def gru_sequence(X, mask, *weights):
     """gru_lockstep of one (T, D) input path."""
-    return gru_lockstep([(X, mask, weights)], form)[0]
+    return gru_lockstep([(X, mask, weights)])[0]
 
 
 # --- fc ---
@@ -100,14 +100,6 @@ def test_gru_step_hand_evaluation():
     expected = (1 - z) * hp + z * f
     got = gru_step(Tensor(x), Tensor(hp), *gru_args(w))
     assert np.allclose(got.data, expected, atol=1e-14)
-
-
-def test_gru_step_standard_form_differs():
-    w = make_gru_weights(2, 2, seed=5)
-    x, hp = np.array([0.3, -0.7]), np.array([0.1, 0.4])
-    paper = gru_step(Tensor(x), Tensor(hp), *gru_args(w), form="paper")
-    std = gru_step(Tensor(x), Tensor(hp), *gru_args(w), form="standard")
-    assert not np.allclose(paper.data, std.data)
 
 
 def test_gru_gate_ranges():
@@ -164,10 +156,9 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
-@pytest.mark.parametrize("form", ["paper", "standard"])
 @pytest.mark.parametrize("mask", [[1, 1, 1, 1, 1], [1, 1, 0, 1, 0, 0], [0, 1, 1, 0],
                                   [1], [0, 0, 0]])
-def test_gru_sequence_matches_gru_step_chain(form, mask):
+def test_gru_sequence_matches_gru_step_chain(mask):
     mask = np.array(mask, dtype=bool)
     g = np.random.default_rng(len(mask) + 10 * mask.sum())
     D, E = 3, 4
@@ -178,12 +169,12 @@ def test_gru_sequence_matches_gru_step_chain(form, mask):
     def run(fn):
         X = Tensor(x, requires_grad=True)
         ws = [Parameter(w.copy()) for w in w0]
-        states = fn(X, mask, *ws, form=form)
+        states = fn(X, mask, *ws)
         if mask.any():
             (states * upstream).sum().backward()
         return states.data, [X.grad] + [w.grad for w in ws]
 
-    got_states, got_grads = run(lambda *a, **k: gru_sequence(*a, **k).states)
+    got_states, got_grads = run(lambda *a: gru_sequence(*a).states)
     want_states, want_grads = run(gru_chain)
     assert got_states.shape == (mask.size, E)
     assert np.all(got_states[~mask] == 0)
@@ -198,17 +189,11 @@ def test_gru_sequence_matches_gru_step_chain(form, mask):
 def test_gru_sequence_rejects_unknown_form_and_shapes():
     w = gru_args(make_gru_weights(3, 2))
     with pytest.raises(ConfigMismatch):
-        gru_sequence(Tensor(np.zeros((2, 3))), np.ones(2, dtype=bool), *w, form="bogus")
+        gru_unroll([Tensor(np.zeros(3))] * 2, np.ones(2, dtype=bool), *w, form="bogus")
     with pytest.raises(ShapeMismatch):
         gru_sequence(Tensor(np.zeros((2, 3))), np.ones(3, dtype=bool), *w)
     with pytest.raises(ShapeMismatch):
         gru_sequence(Tensor(np.zeros((2, 4))), np.ones(2, dtype=bool), *w)
-
-
-def test_gru_step_rejects_unknown_form():
-    w = gru_args(make_gru_weights(3, 2))
-    with pytest.raises(ConfigMismatch, match="unknown GRU form 'bogus'"):
-        gru_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)), *w, form="bogus")
 
 
 def test_gru_sequence_is_one_tape_node():
@@ -234,10 +219,9 @@ LOCKSTEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("form", ["paper", "standard"])
 @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
 @pytest.mark.parametrize("read", ["all", "path_2"])
-def test_gru_lockstep_matches_gru_step_chain(form, case, read):
+def test_gru_lockstep_matches_gru_step_chain(case, read):
     g = np.random.default_rng(5)
     specs = [(np.array(m, dtype=bool), D, E) for m, D, E in LOCKSTEP_CASES[case]]
     xs = [g.normal(size=(m.size, D)) for m, D, _ in specs]
@@ -253,9 +237,8 @@ def test_gru_lockstep_matches_gru_step_chain(form, case, read):
         return [s.data for s in states], [[X.grad] + [w.grad for w in wp]
                                           for X, wp in zip(Xs, ws)]
 
-    got_states, got_grads = run(lambda paths: [s.states for s in gru_lockstep(paths, form)])
-    want_states, want_grads = run(lambda paths: [gru_chain(X, m, *w, form=form)
-                                                 for X, m, w in paths])
+    got_states, got_grads = run(lambda paths: [s.states for s in gru_lockstep(paths)])
+    want_states, want_grads = run(lambda paths: [gru_chain(X, m, *w) for X, m, w in paths])
     for (m, _, E), got, want in zip(specs, got_states, want_states):
         assert got.shape == (m.size, E) and np.all(got[~m] == 0)
         assert rel_err(got, want) <= 1e-12 if m.any() else np.all(got == 0)
@@ -283,11 +266,9 @@ def test_gru_lockstep_is_one_tape_node_per_width():
     assert all(p._parents == () for p in seqs[2].states._parents)
 
 
-def test_gru_lockstep_rejects_unknown_form_and_shapes():
+def test_gru_lockstep_rejects_mismatched_shapes():
     w = gru_args(make_gru_weights(3, 2))
     good = (Tensor(np.zeros((2, 3))), np.ones(2, dtype=bool), w)
-    with pytest.raises(ConfigMismatch):
-        gru_lockstep([good], form="bogus")
     with pytest.raises(ShapeMismatch, match="GRU path 1"):
         gru_lockstep([good, (Tensor(np.zeros((2, 4))), np.ones(2, dtype=bool), w)])
 

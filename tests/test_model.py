@@ -140,7 +140,7 @@ def test_cim_requires_equal_path_sizes():
 @pytest.mark.parametrize("values", [
     {"seq_len": 0}, {"seq_len": -2}, {"temporal_len": 0}, {"max_epochs": 0},
     {"max_epochs": -1}, {"patience": 0}, {"vocab_size": -1}, {"embed_dim": 0},
-    {"E_l": 0, "E_u": 0}, {"E_l": -1, "E_u": -1}, {"E_s": 0}, {"f2_dim": 0}, {"f2_dim": -2},
+    {"E_l": 0, "E_u": 0}, {"E_l": -1, "E_u": -1}, {"E_s": 0},
 ])
 def test_config_rejects_bad_sizes_and_epoch_counts(values):
     with pytest.raises(ConfigMismatch):
@@ -149,8 +149,8 @@ def test_config_rejects_bad_sizes_and_epoch_counts(values):
 
 @pytest.mark.parametrize("values", [
     {"seed": 1.5}, {"seed": "1"}, {"seed": True}, {"E_l": 4.0}, {"patience": None},
-    {"dropout": "0.5"}, {"dropout": True}, {"min_improvement": float("nan")},
-    {"variant": 1}, {"gru_form": None}, {"f2_dim": 2.0}, {"seq_len": "3"},
+    {"dropout": "0.5"}, {"dropout": True}, {"dropout": float("nan")},
+    {"variant": 1}, {"seq_len": "3"},
 ])
 def test_config_checks_field_types(values):
     with pytest.raises(ConfigMismatch, match="is not"):
@@ -158,7 +158,7 @@ def test_config_checks_field_types(values):
 
 
 def test_config_float_fields_accept_ints():
-    cfg = ModelConfig(**dict(TOY, dropout=0, min_improvement=0, seed=np.int64(3), f2_dim=None))
+    cfg = ModelConfig(**dict(TOY, dropout=0, seed=np.int64(3)))
     assert cfg.dropout == 0 and cfg.seed == 3
 
 
@@ -229,7 +229,7 @@ def test_train_early_stop_and_best_epoch():
     # stopping rule: no more than `patience` stale epochs after the best one,
     # modulo sub-tolerance improvements that do not reset the counter
     if n < cfg.max_epochs:
-        assert history.val_loss[-1] >= min(history.val_loss) - cfg.min_improvement
+        assert history.val_loss[-1] >= min(history.val_loss) - model.MIN_IMPROVEMENT
     # returned parameters reproduce the recorded best validation loss
     report = evaluate(data[6:], params, cfg, scaler=scaler)
     assert report.loss == pytest.approx(min(history.val_loss), abs=1e-9)
@@ -252,12 +252,12 @@ def test_train_deterministic_history():
     assert h1.val_loss == h2.val_loss
 
 
-def tape_gru_lockstep(paths, form="paper"):
+def tape_gru_lockstep(paths):
     """The per-path tape the lockstep op replaces: gru_chain for each path."""
     seqs = []
     for X, mask, weights in paths:
         mask = np.asarray(mask, dtype=bool)
-        seqs.append(HiddenSequence(states=gru_chain(X, mask, *weights, form=form), mask=mask))
+        seqs.append(HiddenSequence(states=gru_chain(X, mask, *weights), mask=mask))
     return seqs
 
 
@@ -267,18 +267,17 @@ def tape_embedding_sequence(E, posts, mask):
                           for v, m in zip(posts, mask)])
 
 
-@pytest.mark.parametrize("gru_form", ["paper", "standard"])
-def test_train_trajectory_matches_tape_oracle(monkeypatch, gru_form):
+def test_train_trajectory_matches_tape_oracle(monkeypatch):
     cfg = ModelConfig(variant="full", max_epochs=3, patience=10, seed=5, dropout=0.5,
-                      gru_form=gru_form, **{k: v for k, v in TOY.items() if k != "dropout"})
+                      **{k: v for k, v in TOY.items() if k != "dropout"})
     data = make_dataset(8)
     data[0] = dataclasses.replace(data[0], mask=np.array([True, True, False]))
     fused, h_fused, _ = train(data[:6], data[6:], cfg)
     oracle_paths = []
 
-    def oracle(paths, form="paper"):
+    def oracle(paths):
         oracle_paths.extend(paths)
-        return tape_gru_lockstep(paths, form)
+        return tape_gru_lockstep(paths)
 
     with monkeypatch.context() as m:
         m.setattr(model, "gru_lockstep", oracle)
