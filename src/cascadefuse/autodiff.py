@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllMasked, GraphNotBuilt, ShapeMismatch
+from .errors import InvalidValue, ShapeMismatch
 
 
 class Tensor:
@@ -42,7 +42,7 @@ class Tensor:
     def backward(self):
         """Backpropagate from this scalar through the recorded tape."""
         if not self.requires_grad:
-            raise GraphNotBuilt("backward() called on a tensor with no recorded graph")
+            raise InvalidValue("backward() called on a tensor with no recorded graph")
         if self.data.ndim != 0 and self.data.size != 1:
             raise ShapeMismatch("backward() requires a scalar root")
         topo: list[Tensor] = []
@@ -195,7 +195,7 @@ def masked_row_softmax(x: Tensor, col_mask: np.ndarray) -> Tensor:
     positions. col_mask must have at least one True entry.
     """
     if not col_mask.any():
-        raise AllMasked("softmax over an empty mask")
+        raise InvalidValue("softmax over an empty mask")
     data = np.where(col_mask[None, :], x.data, -np.inf)
     shifted = data - data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -211,7 +211,7 @@ def masked_row_softmax(x: Tensor, col_mask: np.ndarray) -> Tensor:
 def maxpool_time(x: Tensor, mask: np.ndarray) -> Tensor:
     """Per-dimension max over the unmasked (real) rows of a (T, E) tensor."""
     if not mask.any():
-        raise AllMasked("maxpool over an empty mask")
+        raise InvalidValue("maxpool over an empty mask")
     rows = np.flatnonzero(mask)
     sub = x.data[rows]
     arg = rows[sub.argmax(axis=0)]

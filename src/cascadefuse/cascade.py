@@ -11,7 +11,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
-from .errors import EmptyStory, InvalidValue, NegativeTime, UnknownLabel
+from .errors import InvalidValue
 
 BINARY_LABELS = ("true", "fake")
 FOURWAY_LABELS = ("true", "fake", "unverified", "debunking")
@@ -83,18 +83,18 @@ class NewsStory:
 def validate_story(raw: NewsStory) -> NewsStory:
     """Normalize a parsed story: sort posts by time, rebase so min t = 0.
 
-    Idempotent. Raises EmptyStory, NegativeTime, InvalidValue (a NaN or
-    infinite t) or UnknownLabel.
+    Idempotent. Raises InvalidValue on no posts, a negative or non-finite t,
+    or an unknown label.
     """
     if len(raw.posts) == 0:
-        raise EmptyStory(f"story {raw.id!r} has no posts")
+        raise InvalidValue(f"story {raw.id!r} has no posts")
     for p in raw.posts:
         if not 0 <= p.t < math.inf:
             if p.t < 0:
-                raise NegativeTime(f"story {raw.id!r} has post at t={p.t}")
+                raise InvalidValue(f"story {raw.id!r} has post at t={p.t}")
             raise InvalidValue(f"story {raw.id!r} has post at non-finite t={p.t}")
     if raw.label not in FOURWAY_LABELS:
-        raise UnknownLabel(f"story {raw.id!r} has label {raw.label!r}, "
+        raise InvalidValue(f"story {raw.id!r} has label {raw.label!r}, "
                            f"expected one of {sorted(FOURWAY_LABELS)}")
     posts = sorted(raw.posts, key=lambda p: p.t)  # stable: ties keep input order
     t0 = posts[0].t

@@ -154,6 +154,13 @@ def cmd_import(args):
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
+    return int(text)
+
+
 def _day_counts(text: str) -> list[int]:
     """argparse type for --days: a comma list of non-negative integers."""
     parts = [d.strip() for d in text.split(",")]
@@ -170,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     def dataset_options(p):
         p.add_argument("--input", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--split", default=None)
 
     def model_options(p):
@@ -188,13 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate a single Hawkes cascade")
     p.add_argument("--profile", choices=("real", "fake"), default="real")
     p.add_argument("--horizon-days", type=float, default=dat.SyntheticProfile.horizon_days)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("generate-synthetic", help="generate a labeled synthetic dataset")
     p.add_argument("--n-per-class", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--horizon-days", type=float, default=dat.SyntheticProfile.horizon_days)
     p.add_argument("--shared-text", action="store_true")
     p.add_argument("--out", required=True)

@@ -26,7 +26,7 @@ from .cascade import (
     profile_from_dict,
     validate_story,
 )
-from .errors import CascadeFuseError, MixedLabelSets, ParseError, TooFewStories
+from .errors import CascadeFuseError, InvalidValue, ParseError
 from .pointprocess import simulate_hawkes
 
 SECONDS_PER_DAY = 86400.0
@@ -80,23 +80,23 @@ def _story_from_obj(obj: dict) -> tuple[NewsStory, tuple[str, ...]]:
 
 
 def distinct_labels(label_set) -> tuple[str, ...]:
-    """label_set as a tuple; MixedLabelSets if it names a label twice."""
+    """label_set as a tuple; InvalidValue if it names a label twice."""
     label_set = tuple(label_set)
     for i, label in enumerate(label_set):
         if label in label_set[:i]:
-            raise MixedLabelSets(f"label set {list(label_set)} repeats label {label!r}")
+            raise InvalidValue(f"label set {list(label_set)} repeats label {label!r}")
     return label_set
 
 
 def _label_set(labels: set, declared_sets=()) -> tuple[str, ...]:
     """The one declared label set, else the binary set if it holds every label, else four-way."""
     if len(declared_sets) > 1:
-        raise MixedLabelSets(f"conflicting declared label sets: {sorted(declared_sets)}")
+        raise InvalidValue(f"conflicting declared label sets: {sorted(declared_sets)}")
     label_set = distinct_labels(next(iter(declared_sets), BINARY_LABELS
                                      if labels <= set(BINARY_LABELS) else FOURWAY_LABELS))
     unknown = labels - set(label_set)
     if unknown:
-        raise MixedLabelSets(f"labels {sorted(unknown)} outside declared set {label_set}")
+        raise InvalidValue(f"labels {sorted(unknown)} outside declared set {label_set}")
     return label_set
 
 
@@ -188,7 +188,7 @@ def split_dataset(manifest: DatasetManifest, seed: int = 0) -> DatasetManifest:
     training portion moved to validation; per label when every label of the
     label set has at least 3 stories, else over all stories."""
     if len(manifest.stories) < 3:
-        raise TooFewStories("need at least 3 stories to split")
+        raise InvalidValue("need at least 3 stories to split")
     groups: dict[str, list[NewsStory]] = defaultdict(list)
     for s in manifest.stories:
         groups[s.label].append(s)

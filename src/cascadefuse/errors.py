@@ -1,116 +1,29 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per contract a caller can act on."""
 
 
 class CascadeFuseError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; the CLI prints one as a single `error:` line."""
 
 
 class InvalidValue(CascadeFuseError, ValueError):
-    """A value outside its domain, such as a non-finite kernel constant."""
+    """An argument, field, label or record outside its domain, empty inputs included."""
 
-
-# --- cascade validation ---
-
-class EmptyStory(CascadeFuseError):
-    pass
-
-
-class NegativeTime(CascadeFuseError):
-    pass
-
-
-class UnknownLabel(CascadeFuseError):
-    pass
-
-
-# --- point process ---
-
-class NonPositiveDelay(CascadeFuseError):
-    pass
-
-
-class NonPositiveWindow(CascadeFuseError):
-    pass
-
-
-class InvalidInterval(CascadeFuseError):
-    pass
-
-
-class TimeBeforeOrigin(CascadeFuseError):
-    pass
-
-
-class NonPositiveTime(CascadeFuseError):
-    pass
-
-
-class ZeroDenominator(CascadeFuseError):
-    pass
-
-
-class EmptyGrid(CascadeFuseError):
-    pass
-
-
-class ExplodingCascade(CascadeFuseError):
-    pass
-
-
-# --- features ---
-
-class EmptyCorpus(CascadeFuseError):
-    pass
-
-
-# --- neural core ---
-
-class ShapeMismatch(CascadeFuseError):
-    pass
-
-
-class DimensionalityMismatch(CascadeFuseError):
-    pass
-
-
-class AllMasked(CascadeFuseError):
-    pass
-
-
-class InvalidClass(CascadeFuseError):
-    pass
-
-
-class GraphNotBuilt(CascadeFuseError):
-    pass
-
-
-# --- model / training ---
-
-class ConfigMismatch(CascadeFuseError):
-    pass
-
-
-class EmptyDataset(CascadeFuseError):
-    pass
-
-
-class EmptySpace(CascadeFuseError):
-    pass
-
-
-# --- data / CLI ---
 
 class ParseError(CascadeFuseError):
+    """An input file that does not decode, parse or follow its format."""
+
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
 
 
-class MixedLabelSets(CascadeFuseError):
-    pass
+class ConfigMismatch(CascadeFuseError):
+    """A config, checkpoint, bundle or parameter set that does not fit what it is used with."""
 
 
-class TooFewStories(CascadeFuseError):
-    pass
+class ShapeMismatch(CascadeFuseError):
+    """Arrays whose shapes do not fit an operation."""
 
+
+class ExplodingCascade(CascadeFuseError):
+    """A simulation that grew past max_events."""

@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cascade import PROFILE_COUNT_FIELDS, PROFILE_FLAG_FIELDS, NewsStory, UserProfile
-from .errors import ConfigMismatch, EmptyCorpus, InvalidValue
+from .errors import ConfigMismatch, InvalidValue
 from .pointprocess import (
     KernelParams,
     DEFAULT_GRID_HOURS,
@@ -98,7 +98,7 @@ def build_vocabulary(corpus: list[NewsStory], K: int = DEFAULT_VOCAB_SIZE) -> Vo
     a non-negative integer (InvalidValue otherwise).
     """
     if not corpus:
-        raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
+        raise InvalidValue("cannot build a vocabulary from an empty corpus")
     if isinstance(K, bool) or not isinstance(K, numbers.Integral) or K < 0:
         raise InvalidValue(f"vocabulary size K {K!r} must be a non-negative integer")
     docs = [tokenize(p.text) for story in corpus for p in story.posts]
@@ -162,7 +162,7 @@ class UserScaler:
 
 def fit_user_scaler(corpus: list[NewsStory]) -> UserScaler:
     if not corpus:
-        raise EmptyCorpus("cannot fit a scaler on an empty corpus")
+        raise InvalidValue("cannot fit a scaler on an empty corpus")
     rows = np.array([p.user.as_tuple()[:N_COUNTS] for s in corpus for p in s.posts],
                     dtype=float)
     means = rows.mean(axis=0)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigMismatch, DimensionalityMismatch, InvalidClass, ShapeMismatch
+from .errors import ConfigMismatch, InvalidValue, ShapeMismatch
 
 PROB_FLOOR = 1e-12
 
@@ -285,7 +285,7 @@ def cim_attention(H_l: HiddenSequence, H_u: HiddenSequence):
     Tl, El = H_l.states.data.shape
     Tu, Eu = H_u.states.data.shape
     if El != Eu:
-        raise DimensionalityMismatch(f"hidden dims differ: {El} vs {Eu}")
+        raise ShapeMismatch(f"hidden dims differ: {El} vs {Eu}")
     if Tl != Tu or not np.array_equal(H_l.mask, H_u.mask):
         raise ShapeMismatch("sequence lengths/masks differ between modalities")
     mask = H_l.mask
@@ -307,7 +307,7 @@ def cross_entropy(z: Tensor, label: int) -> Tensor:
     """-ln max(z[label], PROB_FLOOR); a floored probability passes no gradient."""
     tau = z.data.shape[0]
     if not 0 <= label < tau:
-        raise InvalidClass(f"label {label} outside 0..{tau - 1}")
+        raise InvalidValue(f"label {label} outside 0..{tau - 1}")
     p = np.maximum(z.data[label], PROB_FLOOR)
 
     def bwd(g):

@@ -17,8 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .cascade import BINARY_LABELS
 from .data import distinct_labels, read_json_object
-from .errors import (CascadeFuseError, ConfigMismatch, EmptyDataset, EmptySpace, InvalidValue,
-                     UnknownLabel)
+from .errors import CascadeFuseError, ConfigMismatch, InvalidValue
 from .features import (DEFAULT_VOCAB_SIZE, USER_DIM, BundleConfig, FeatureBundle, UserScaler,
                        Vocabulary, build_bundles)
 from .layers import (
@@ -59,8 +58,10 @@ class ModelConfig(BundleConfig):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigMismatch(f"{name} {value!r} must be at least 1")
-        if self.vocab_size < 0:  # 0 is legal: tree imports carry no text
-            raise ConfigMismatch(f"vocab_size {self.vocab_size!r} must not be negative")
+        for name in ("vocab_size", "seed"):  # vocab_size 0 is legal: tree imports have no text
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigMismatch(f"{name} {value!r} must not be negative")
 
     @property
     def has_temporal(self) -> bool:
@@ -243,7 +244,7 @@ class TrainHistory:
 def _label_index(label: str, label_set) -> int:
     labels = list(label_set)
     if label not in labels:
-        raise UnknownLabel(f"label {label!r} is not in the model's label set {labels}")
+        raise InvalidValue(f"label {label!r} is not in the model's label set {labels}")
     return labels.index(label)
 
 
@@ -254,7 +255,7 @@ def train(train_bundles: list[FeatureBundle], val_bundles: list[FeatureBundle],
     Returns the best-validation-epoch parameters and the loss history.
     """
     if not train_bundles or not val_bundles:
-        raise EmptyDataset("training and validation sets must be non-empty")
+        raise InvalidValue("training and validation sets must be non-empty")
     scaler = fit_temporal_scaler(train_bundles)
     train_bundles = [scaler.apply(b) for b in train_bundles]
     val_bundles = [scaler.apply(b) for b in val_bundles]
@@ -312,7 +313,7 @@ def evaluate(test_bundles: list[FeatureBundle], params: ParameterSet,
              scaler: TemporalScaler | None = None) -> EvalReport:
     """Argmax predictions; accuracy, per-class F1 and confusion counts."""
     if not test_bundles:
-        raise EmptyDataset("evaluation set is empty")
+        raise InvalidValue("evaluation set is empty")
     n_labels = len(label_set)
     if params["out_b"].data.size != n_labels:
         raise ConfigMismatch(f"{params['out_b'].data.size} output units for the "
@@ -338,7 +339,7 @@ def grid_search(train_bundles, val_bundles, candidates: list[ModelConfig],
     """Train each candidate (optionally with a reduced epoch cap), pick the
     best validation accuracy; ties broken by lower val loss, then smaller E_con."""
     if not candidates:
-        raise EmptySpace("empty configuration space")
+        raise InvalidValue("empty configuration space")
     results = []
     for cfg in candidates:
         quick = cfg if quick_epochs is None else replace(cfg, max_epochs=quick_epochs)

@@ -15,17 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import NewsStory, Post
-from .errors import (
-    EmptyGrid,
-    ExplodingCascade,
-    InvalidInterval,
-    InvalidValue,
-    NonPositiveDelay,
-    NonPositiveTime,
-    NonPositiveWindow,
-    TimeBeforeOrigin,
-    ZeroDenominator,
-)
+from .errors import ExplodingCascade, InvalidValue
 
 DEFAULT_C = 6.27e-4
 DEFAULT_S0 = 300.0  # 5 minutes, in seconds
@@ -57,16 +47,6 @@ DEFAULT_GRID_HOURS = 47  # hours 1..47: the hourly points before a 2-day horizon
 
 
 @dataclass(frozen=True)
-class IntensityValue:
-    lam: float
-    at_time: float
-
-    def __post_init__(self):
-        if not self.lam >= 0:  # NaN fails too
-            raise InvalidValue("intensity must be non-negative")
-
-
-@dataclass(frozen=True)
 class InfectiousnessSeries:
     """Hourly infectiousness curve: grid in hours, one value per grid point."""
 
@@ -93,7 +73,7 @@ def _grid(grid_hours) -> np.ndarray:
     """The grid in hours (default_grid() for None): non-empty, positive, increasing."""
     grid = default_grid() if grid_hours is None else np.asarray(grid_hours, dtype=float)
     if grid.size == 0:
-        raise EmptyGrid("grid must be non-empty")
+        raise InvalidValue("grid must be non-empty")
     if not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
         raise InvalidValue("grid must be strictly increasing and positive")
     return grid
@@ -111,7 +91,7 @@ def _phi(s, params: KernelParams) -> np.ndarray:
 def memory_kernel(s: float, params: KernelParams = DEFAULT_PARAMS) -> float:
     """Reshare-delay density: c for 0 < s <= s0, power-law decay beyond."""
     if s <= 0:
-        raise NonPositiveDelay(f"delay must be positive, got {s}")
+        raise InvalidValue(f"delay must be positive, got {s}")
     return float(_phi(s, params))
 
 
@@ -122,9 +102,9 @@ def _triangle(s, t):
 def triangular_kernel(s: float, t: float) -> float:
     """One-sided recency window K_t(s) = max(1 - 2s/t, 0)."""
     if t <= 0:
-        raise NonPositiveWindow(f"window must be positive, got {t}")
+        raise InvalidValue(f"window must be positive, got {t}")
     if s < 0:
-        raise NonPositiveDelay(f"delay must be non-negative, got {s}")
+        raise InvalidValue(f"delay must be non-negative, got {s}")
     return float(_triangle(s, t))
 
 
@@ -170,7 +150,7 @@ def _kernel_integral_analytic(t_i, t, params: KernelParams):
 def kernel_integral(t_i: float, t: float, params: KernelParams = DEFAULT_PARAMS) -> float:
     """Integral of K_t(t - s) * phi(s - t_i) over s in [t_i, t], in closed form."""
     if t_i < 0 or t_i >= t:
-        raise InvalidInterval(f"require 0 <= t_i < t, got t_i={t_i}, t={t}")
+        raise InvalidValue(f"require 0 <= t_i < t, got t_i={t_i}, t={t}")
     return float(_kernel_integral_analytic(np.array([t_i]), t, params)[0])
 
 
@@ -188,14 +168,16 @@ def _excitation(times, followers, t, params: KernelParams):
 
 
 def intensity(story: NewsStory, s_h: float, t: float,
-              params: KernelParams = DEFAULT_PARAMS) -> IntensityValue:
+              params: KernelParams = DEFAULT_PARAMS) -> float:
     """Cascade intensity lambda_t = s_h * sum_i n_i * phi(t - t_i) over t_i <= t."""
     if t < 0:
-        raise TimeBeforeOrigin(f"t must be >= 0, got {t}")
-    if not s_h >= 0:  # NaN fails too
-        raise InvalidValue("s_h must be non-negative")
-    return IntensityValue(lam=s_h * float(_excitation(*_posts_arrays(story, t), t, params)),
-                          at_time=t)
+        raise InvalidValue(f"t must be >= 0, got {t}")
+    if not 0 <= s_h < math.inf:  # NaN fails too
+        raise InvalidValue(f"s_h must be non-negative and finite, got {s_h}")
+    lam = s_h * float(_excitation(*_posts_arrays(story, t), t, params))
+    if not math.isfinite(lam):
+        raise InvalidValue(f"intensity at t={t} is not finite")
+    return lam
 
 
 def _estimate(times, followers, t, params: KernelParams):
@@ -216,17 +198,21 @@ def estimate_infectiousness(story: NewsStory, t: float,
 
     Numerator sums the triangular kernel over reshares; denominator sums
     follower-weighted kernel integrals over all posts including the source.
-    Returns 0 when there are no effective reshares; raises ZeroDenominator
-    when the numerator is positive but every follower weight vanishes.
+    Returns 0 when there are no effective reshares; raises InvalidValue when
+    the numerator is positive but every follower weight vanishes, or when the
+    estimate is not finite.
     """
     if t <= 0:
-        raise NonPositiveTime(f"t must be positive, got {t}")
+        raise InvalidValue(f"t must be positive, got {t}")
     (num,), (den,) = _estimate(*_posts_arrays(story, t), np.array([t], dtype=float), params)
     if num == 0.0:
         return 0.0
     if den <= 0.0:
-        raise ZeroDenominator(f"story {story.id!r}: zero denominator at t={t}")
-    return float(num / den)
+        raise InvalidValue(f"story {story.id!r}: zero denominator at t={t}")
+    value = float(num / den)
+    if not math.isfinite(value):
+        raise InvalidValue("infectiousness values must be finite")
+    return value
 
 
 def infectiousness_series(story: NewsStory, grid_hours=None,
@@ -266,7 +252,7 @@ def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
     its source included, would exceed max_events events.
     """
     if not 0 < horizon < math.inf:  # NaN too; an infinite horizon never ends
-        raise NonPositiveTime(f"horizon must be positive and finite, got {horizon!r}")
+        raise InvalidValue(f"horizon must be positive and finite, got {horizon!r}")
     rng = np.random.default_rng(seed)
     n0 = follower_sampler(rng) if source_followers is None else source_followers
     # one event buffer, written in place: the source, the accepted events and

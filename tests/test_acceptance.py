@@ -228,8 +228,7 @@ def test_criterion_5_gradient_checks():
     fd_rng = np.random.default_rng(0)
     for k, arr in values.items():
         g = ps[k].grad
-        if g is None:
-            continue
+        assert g is not None, f"{k} got no gradient"
         flat, gflat = arr.reshape(-1), g.reshape(-1)
         for i in fd_rng.choice(flat.size, size=min(5, flat.size), replace=False):
             orig = flat[i]

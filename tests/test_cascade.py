@@ -13,13 +13,7 @@ from cascadefuse.cascade import (
     truncate_story,
     validate_story,
 )
-from cascadefuse.errors import (
-    CascadeFuseError,
-    EmptyStory,
-    InvalidValue,
-    NegativeTime,
-    UnknownLabel,
-)
+from cascadefuse.errors import CascadeFuseError, InvalidValue
 from cascadefuse.pointprocess import simulate_hawkes
 
 
@@ -39,12 +33,12 @@ def test_validate_rebases_timestamps():
 
 
 def test_validate_empty_story():
-    with pytest.raises(EmptyStory):
+    with pytest.raises(InvalidValue, match="story 's1' has no posts"):
         validate_story(story([]))
 
 
 def test_validate_negative_time():
-    with pytest.raises(NegativeTime):
+    with pytest.raises(InvalidValue, match="story 's1' has post at t=-5$"):
         validate_story(story([-5, 10]))
 
 
@@ -55,12 +49,12 @@ def test_validate_rejects_non_finite_time(t):
 
 
 def test_validate_negative_infinite_time_is_negative():
-    with pytest.raises(NegativeTime):
+    with pytest.raises(InvalidValue, match="story 's1' has post at t=-inf$"):
         validate_story(story([0, -math.inf]))
 
 
 def test_validate_unknown_label():
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(InvalidValue, match="story 's1' has label 'maybe', expected one of"):
         validate_story(story([0], label="maybe"))
     for label in FOURWAY_LABELS:  # the allowed labels are the four-way set
         assert validate_story(story([0], label=label)).label == label

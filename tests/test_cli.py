@@ -384,6 +384,8 @@ MALFORMED_INPUTS = {
                              "temporal scaler mean 'x' is not a finite number"),
     "temporal_mean_null": ("eval", "m.json", manifest_with(("temporal_scaler", "mean"), None),
                            "temporal scaler mean None is not a finite number"),
+    "manifest_seed_negative": ("eval", "m.json", manifest_with(("config", "seed"), -1),
+                               "seed -1 must not be negative"),
     "manifest_label_repeated": ("eval", "m.json",
                                 manifest_with(("label_set",), ["true", "fake", "true"]),
                                 "label set ['true', 'fake', 'true'] repeats label 'true'"),
@@ -509,6 +511,7 @@ def test_train_without_val_split_is_an_error(tmp_path, capsys):
     ({"E_s": 0}, "error: E_s 0 must be at least 1"),
     ({"E_l": 0, "E_u": 0}, "error: E_l 0 must be at least 1"),
     ({"embed_dim": 0}, "error: embed_dim 0 must be at least 1"),
+    ({"seed": -1}, "error: seed -1 must not be negative"),
 ])
 def test_train_rejects_invalid_model_config(tiny_dataset, tmp_path, capsys, values, message):
     cfg = tmp_path / "cfg.json"
@@ -636,6 +639,22 @@ def test_sweep_rejects_bad_days(tiny_dataset, tmp_path, capsys, days):
     assert exc.value.code == 2
     assert "argument --days" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "generate-synthetic", "train", "eval",
+                                     "ablate", "sweep"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seed_must_be_a_non_negative_integer(tiny_dataset, tmp_path, capsys, command, seed):
+    argv = [command, "--out", str(tmp_path / "o"), "--seed", seed]
+    if command in ("train", "eval", "ablate", "sweep"):
+        argv += ["--input", str(tiny_dataset)]
+    if command == "eval":
+        argv += ["--checkpoint", str(tmp_path / "m")]
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_rejects_non_positive_horizon(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cascadefuse.cascade import NewsStory, Post, UserProfile
 from cascadefuse.cli import run_command
 from cascadefuse.data import generate_synthetic, save_dataset, split_dataset
-from cascadefuse.errors import ConfigMismatch, EmptyCorpus, InvalidValue
+from cascadefuse.errors import ConfigMismatch, InvalidValue
 from cascadefuse.features import (
     URL_RE,
     URL_TOKEN,
@@ -176,7 +176,7 @@ def test_vocabulary_k_zero_is_empty():
 
 
 def test_vocabulary_empty_corpus():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(InvalidValue, match="cannot build a vocabulary from an empty corpus"):
         build_vocabulary([], K=5)
 
 

@@ -9,18 +9,7 @@ from scipy.integrate import quad
 from cascadefuse import pointprocess
 from cascadefuse.cascade import NewsStory, Post
 from cascadefuse.data import SyntheticProfile, generate_synthetic
-from cascadefuse.errors import (
-    EmptyGrid,
-    CascadeFuseError,
-    ExplodingCascade,
-    InvalidInterval,
-    InvalidValue,
-    NonPositiveDelay,
-    NonPositiveTime,
-    NonPositiveWindow,
-    TimeBeforeOrigin,
-    ZeroDenominator,
-)
+from cascadefuse.errors import CascadeFuseError, ExplodingCascade, InvalidValue
 from cascadefuse.pointprocess import (
     DEFAULT_C,
     SECONDS_PER_HOUR,
@@ -69,7 +58,7 @@ def test_kernel_power_law_value():
 
 
 def test_kernel_rejects_nonpositive_delay():
-    with pytest.raises(NonPositiveDelay):
+    with pytest.raises(InvalidValue, match="delay must be positive, got 0.0"):
         memory_kernel(0.0)
 
 
@@ -92,7 +81,7 @@ def test_triangle_support_edge_and_midpoint():
 
 
 def test_triangle_rejects_nonpositive_window():
-    with pytest.raises(NonPositiveWindow):
+    with pytest.raises(InvalidValue, match="window must be positive, got 0.0"):
         triangular_kernel(1.0, 0.0)
 
 
@@ -129,7 +118,7 @@ def test_kernel_integral_vs_quadrature_oracle():
 
 
 def test_kernel_integral_invalid_interval():
-    with pytest.raises(InvalidInterval):
+    with pytest.raises(InvalidValue, match="require 0 <= t_i < t, got t_i=100.0, t=50.0"):
         kernel_integral(100.0, 50.0)
 
 
@@ -164,23 +153,22 @@ def test_kernel_integral_at_and_around_theta_one(theta):
 
 def test_intensity_single_post_flat_regime():
     story = make_story([(0.0, 100.0)])
-    v = intensity(story, s_h=0.5, t=60.0)
-    assert v.lam == pytest.approx(0.5 * 100 * 6.27e-4)
+    assert intensity(story, s_h=0.5, t=60.0) == pytest.approx(0.5 * 100 * 6.27e-4)
 
 
 def test_intensity_zero_infectiousness():
     story = make_story([(0.0, 100.0), (10.0, 50.0)])
-    assert intensity(story, s_h=0.0, t=60.0).lam == 0.0
+    assert intensity(story, s_h=0.0, t=60.0) == 0.0
 
 
 def test_intensity_two_posts_hand_sum():
     story = make_story([(0.0, 100.0), (300.0, 50.0)])
     expected = 0.7 * (100 * phi_ref(360.0) + 50 * phi_ref(60.0))
-    assert intensity(story, s_h=0.7, t=360.0).lam == pytest.approx(expected, rel=1e-12)
+    assert intensity(story, s_h=0.7, t=360.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_intensity_before_origin():
-    with pytest.raises(TimeBeforeOrigin):
+    with pytest.raises(InvalidValue, match="t must be >= 0, got -1.0"):
         intensity(make_story([(0.0, 1.0)]), 1.0, -1.0)
 
 
@@ -207,12 +195,12 @@ def test_estimator_hand_case():
 
 def test_estimator_zero_denominator():
     story = make_story([(0.0, 0.0), (5400.0, 0.0)])
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(InvalidValue, match="story 's': zero denominator at t=7200.0"):
         estimate_infectiousness(story, 7200.0)
 
 
 def test_estimator_nonpositive_time():
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(InvalidValue, match="t must be positive, got 0.0"):
         estimate_infectiousness(make_story([(0.0, 1.0)]), 0.0)
 
 
@@ -293,10 +281,26 @@ def test_kernel_params_must_be_positive_and_finite(name, bad):
     assert isinstance(exc.value, ValueError)  # InvalidValue is both
 
 
-@pytest.mark.parametrize("s_h", [-1.0, float("nan")])
+@pytest.mark.parametrize("s_h", [-1.0, float("nan"), float("inf")])
 def test_intensity_rejects_negative_or_nan_rate(s_h):
-    with pytest.raises(InvalidValue):
-        intensity(make_story([(0.0, 1.0)]), s_h, 10.0)
+    for followers in (1.0, 0.0):  # with no followers, inf * 0 would be a NaN
+        with pytest.raises(InvalidValue, match="s_h must be non-negative and finite"):
+            intensity(make_story([(0.0, followers)]), s_h, 10.0)
+
+
+def test_intensity_rejects_non_finite_result():
+    story = make_story([(0.0, 1e308), (1.0, 1e308)])
+    with pytest.raises(InvalidValue, match="intensity at t=10.0 is not finite"):
+        intensity(story, 1e10, 10.0)
+
+
+def test_estimator_rejects_non_finite_estimate():
+    # subnormal follower weights overflow num / den, as in the series of the same story
+    story = make_story([(0.0, 1e-310), (5000.0, 1e-310)])
+    with pytest.raises(InvalidValue, match="infectiousness values must be finite"):
+        estimate_infectiousness(story, 7200.0)
+    with pytest.raises(InvalidValue, match="infectiousness values must be finite"):
+        infectiousness_series(story, [2.0])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -306,14 +310,14 @@ def test_series_rejects_non_finite_values(bad):
 
 
 def test_series_empty_grid():
-    with pytest.raises(EmptyGrid):
+    with pytest.raises(InvalidValue, match="grid must be non-empty"):
         infectiousness_series(make_story([(0.0, 1.0)]), [])
 
 
 @pytest.mark.parametrize("series", [infectiousness_series, post_count_series])
 def test_both_series_check_the_grid(series):
     story = make_story([(0.0, 1.0), (0.5 * 3600, 1.0), (1.5 * 3600, 1.0), (2.5 * 3600, 1.0)])
-    with pytest.raises(EmptyGrid):
+    with pytest.raises(InvalidValue, match="grid must be non-empty"):
         series(story, [])
     for grid in ([3.0, 2.0, 1.0], [-1.0, 2.0], [1.0, float("nan")]):
         with pytest.raises(ValueError):
@@ -343,7 +347,7 @@ def test_simulate_zero_profile_only_seed():
 
 @pytest.mark.parametrize("horizon", [0.0, -5.0, float("nan"), float("inf")])
 def test_simulate_rejects_non_positive_horizon(horizon):
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(InvalidValue, match="horizon must be positive and finite"):
         simulate_hawkes(lambda h: 0.5, lambda r: r.poisson(1.0), horizon, seed=1)
 
 
