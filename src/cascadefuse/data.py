@@ -27,7 +27,7 @@ from .cascade import (
     validate_story,
 )
 from .errors import CascadeFuseError, InvalidValue, ParseError
-from .pointprocess import simulate_hawkes
+from .pointprocess import seeded_rng, simulate_hawkes
 
 SECONDS_PER_DAY = 86400.0
 TEST_FRAC = 0.25  # of all stories, held out for test (3:1)
@@ -195,7 +195,7 @@ def split_dataset(manifest: DatasetManifest, seed: int = 0) -> DatasetManifest:
     if any(len(groups[label]) < 3 for label in manifest.label_set):
         groups = {"_all": list(manifest.stories)}
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     split: dict[str, str] = {}
     for _, items in sorted(groups.items()):
         order = rng.permutation(len(items))
@@ -274,7 +274,7 @@ def generate_synthetic(n_per_class: int, seed: int = 0,
     """Fully seeded synthetic dataset: single-bump (real) vs double-bump (fake)
     cascades with overlapping text/user distributions."""
     spec = profile_spec or SyntheticProfile()
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     stories = []
     for k in range(n_per_class):
         for label in ("true", "fake"):

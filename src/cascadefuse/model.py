@@ -31,6 +31,7 @@ from .layers import (
     glorot,
     gru_lockstep,
 )
+from .pointprocess import seeded_rng
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,11 @@ class EvalReport:
 
 GRU_GATES = ("z", "r", "h")
 MIN_IMPROVEMENT = 1e-6  # a smaller fall in validation loss counts as no improvement
+# Stories per forward_stories call in evaluate. gru_lockstep keeps 8 floats per
+# step, path and state unit of a chunk, over its longest path's steps: at 32-unit
+# states, 16 stories (48 paths) over a 167-hour temporal stream take about 16 MB,
+# and the call peaks at about 19 MB.
+SCORE_CHUNK = 16
 
 
 def param_shapes(config: ModelConfig, label_set=BINARY_LABELS) -> dict[str, tuple[int, ...]]:
@@ -128,7 +134,7 @@ def param_shapes(config: ModelConfig, label_set=BINARY_LABELS) -> dict[str, tupl
 def init_params(config: ModelConfig, seed: int | None = None,
                 label_set=BINARY_LABELS) -> ParameterSet:
     """Fresh weights for config's network: glorot matrices and zero biases."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = seeded_rng(config.seed if seed is None else seed)
     p = ParameterSet()
     for name, shape in param_shapes(config, label_set).items():
         p.add(name, glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape))
@@ -156,31 +162,54 @@ def forward(bundle: FeatureBundle, params: ParameterSet, config: ModelConfig,
 
     Returns the class-probability tensor and a trace dict of intermediates.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if len(bundle.linguistic) != config.seq_len:
-        raise ConfigMismatch(
-            f"bundle sequence length {len(bundle.linguistic)} != config {config.seq_len}")
-    if config.has_temporal:
-        if bundle.temporal is None:
-            raise ConfigMismatch(f"variant {config.variant!r} needs a temporal stream")
-        if len(bundle.temporal) != config.temporal_len:
-            raise ConfigMismatch(
-                f"temporal length {len(bundle.temporal)} != config {config.temporal_len}")
-    if bundle.linguistic[0].dim != config.vocab_size:
-        raise ConfigMismatch(
-            f"vocab size {bundle.linguistic[0].dim} != config {config.vocab_size}")
+    return forward_stories([bundle], params, config, training, rng)[0]
 
-    mask = bundle.mask
-    paths = {"ling": (embedding_sequence(params["embed"], bundle.linguistic, mask), mask),
-             "user": (Tensor(bundle.users), mask)}
-    if config.has_temporal:
-        paths["temp"] = (Tensor(bundle.temporal[:, None]),
-                         np.ones(config.temporal_len, dtype=bool))
+
+def forward_stories(bundles: list[FeatureBundle], params, config: ModelConfig,
+                    training: bool = False, rng: np.random.Generator | None = None):
+    """forward on each of several stories, with one gru_lockstep call over all
+    their paths; everything after the GRU states runs story by story.
+
+    params maps each parameter name to a Tensor. Returns one (probabilities,
+    trace) pair per story, equal to forward's on that story alone.
+    """
+    for bundle in bundles:
+        if len(bundle.linguistic) != config.seq_len:
+            raise ConfigMismatch(
+                f"bundle sequence length {len(bundle.linguistic)} != config {config.seq_len}")
+        if config.has_temporal:
+            if bundle.temporal is None:
+                raise ConfigMismatch(f"variant {config.variant!r} needs a temporal stream")
+            if len(bundle.temporal) != config.temporal_len:
+                raise ConfigMismatch(
+                    f"temporal length {len(bundle.temporal)} != config {config.temporal_len}")
+        if bundle.linguistic[0].dim != config.vocab_size:
+            raise ConfigMismatch(
+                f"vocab size {bundle.linguistic[0].dim} != config {config.vocab_size}")
+    if training and rng is None:
+        rng = np.random.default_rng(0)
+
+    names = ["ling", "user"] + ["temp"] * config.has_temporal
+    w_l, w_u, *w_s = [_gru_weights(params, name) for name in names]
+    paths = []
+    for bundle in bundles:
+        mask = bundle.mask
+        paths += [(embedding_sequence(params["embed"], bundle.linguistic, mask), mask, w_l),
+                  (Tensor(bundle.users), mask, w_u)]
+        paths += [(Tensor(bundle.temporal[:, None]), np.ones(config.temporal_len, dtype=bool), w)
+                  for w in w_s]
     # the GRUs draw no random numbers, so stepping them first keeps the dropout stream
-    seqs = gru_lockstep([(X, m, _gru_weights(params, name)) for name, (X, m) in paths.items()])
+    seqs = gru_lockstep(paths)
+    k = len(names)
+    return [_fuse(seqs[i * k:(i + 1) * k], names, bundle.mask, params, config, training, rng)
+            for i, bundle in enumerate(bundles)]
+
+
+def _fuse(seqs, names, mask, params, config, training, rng):
+    """One story's probabilities and trace from its paths' GRU states: the
+    per-path FCs, CIM, the max-pooling and the head."""
     H_l, H_u, *H_s = [_encode_path(seq, params, name, config, training, rng)
-                      for seq, name in zip(seqs, paths)]
+                      for seq, name in zip(seqs, names)]
 
     pooled = [ad.maxpool_time(H_l.states, mask), ad.maxpool_time(H_u.states, mask)]
     trace = {}
@@ -311,7 +340,10 @@ def f1_scores(confusion: np.ndarray, label_set) -> dict[str, float]:
 def evaluate(test_bundles: list[FeatureBundle], params: ParameterSet,
              config: ModelConfig, label_set=BINARY_LABELS,
              scaler: TemporalScaler | None = None) -> EvalReport:
-    """Argmax predictions; accuracy, per-class F1 and confusion counts."""
+    """Argmax predictions; accuracy, per-class F1 and confusion counts.
+
+    Scores SCORE_CHUNK stories per forward_stories call, on plain Tensors of
+    the weights, so no tape is recorded."""
     if not test_bundles:
         raise InvalidValue("evaluation set is empty")
     n_labels = len(label_set)
@@ -320,14 +352,16 @@ def evaluate(test_bundles: list[FeatureBundle], params: ParameterSet,
                              f"{n_labels} labels {list(label_set)}")
     if scaler is not None:
         test_bundles = [scaler.apply(b) for b in test_bundles]
+    ys = [_label_index(b.label, label_set) for b in test_bundles]
+    frozen = {name: Tensor(p.data) for name, p in params.items()}  # records no tape
     confusion = np.zeros((n_labels, n_labels), dtype=int)
     total_loss = 0.0
-    for b in test_bundles:
-        y = _label_index(b.label, label_set)
-        z, _ = forward(b, params, config, training=False)
-        pred = int(np.argmax(z.data))
-        confusion[y, pred] += 1
-        total_loss += float(cross_entropy(z, y).data)
+    for lo in range(0, len(test_bundles), SCORE_CHUNK):
+        scored = forward_stories(test_bundles[lo:lo + SCORE_CHUNK], frozen, config)
+        for (z, _), y in zip(scored, ys[lo:lo + SCORE_CHUNK]):
+            pred = int(np.argmax(z.data))
+            confusion[y, pred] += 1
+            total_loss += float(cross_entropy(z, y).data)
 
     accuracy = float(np.trace(confusion)) / float(confusion.sum())
     return EvalReport(accuracy=accuracy, per_class_f1=f1_scores(confusion, label_set),

@@ -9,6 +9,7 @@ synthetic-data source.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -209,7 +210,8 @@ def estimate_infectiousness(story: NewsStory, t: float,
         return 0.0
     if den <= 0.0:
         raise InvalidValue(f"story {story.id!r}: zero denominator at t={t}")
-    value = float(num / den)
+    with np.errstate(over="ignore"):  # the finiteness check below reports it
+        value = float(num / den)
     if not math.isfinite(value):
         raise InvalidValue("infectiousness values must be finite")
     return value
@@ -225,7 +227,8 @@ def infectiousness_series(story: NewsStory, grid_hours=None,
     for h in grid[(num > 0) & (den <= 0)]:
         warnings.warn(f"story {story.id!r}: zero denominator at hour {h}, using 0",
                       stacklevel=2)
-    values = np.divide(num, den, out=np.zeros_like(num), where=(num > 0) & (den > 0))
+    with np.errstate(over="ignore"):  # InfectiousnessSeries refuses an overflow
+        values = np.divide(num, den, out=np.zeros_like(num), where=(num > 0) & (den > 0))
     return InfectiousnessSeries(grid=tuple(grid), values=tuple(values))
 
 
@@ -237,6 +240,13 @@ def post_count_series(story: NewsStory, grid_hours=None) -> np.ndarray:
     idx = np.searchsorted(grid, times_h, side="left")
     counts = np.bincount(idx[times_h <= grid[-1]], minlength=grid.size)
     return counts.astype(float)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed), with InvalidValue for a negative integer seed."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise InvalidValue(f"seed {seed} must not be negative")
+    return np.random.default_rng(seed)
 
 
 def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
@@ -253,7 +263,7 @@ def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
     """
     if not 0 < horizon < math.inf:  # NaN too; an infinite horizon never ends
         raise InvalidValue(f"horizon must be positive and finite, got {horizon!r}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     n0 = follower_sampler(rng) if source_followers is None else source_followers
     # one event buffer, written in place: the source, the accepted events and
     # the one past max_events that raises. It starts small and doubles when

@@ -18,10 +18,12 @@ from cascadefuse.features import (
 from cascadefuse.layers import (
     HiddenSequence,
     ParameterSet,
+    PROB_FLOOR,
     adadelta_step,
     cross_entropy,
 )
 from cascadefuse.model import (
+    SCORE_CHUNK,
     EvalReport,
     ModelConfig,
     TemporalScaler,
@@ -378,6 +380,79 @@ def test_evaluate_consistency_of_report():
     assert report.confusion.sum() == 6
     assert report.accuracy == pytest.approx(np.trace(report.confusion) / 6)
     assert all(0 <= f <= 1 for f in report.per_class_f1.values())
+
+
+BATCH = dict(TOY, seq_len=5)
+
+
+def varied_bundles(n, seed=0):
+    """n stories of BATCH's shapes with 1 to 5 real posts, zero padded rows, and
+    every third story's second post without vocabulary terms."""
+    g = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        n_real = 1 + i % 5
+        ling = []
+        for t in range(5):
+            terms = np.empty(0, dtype=np.int64)
+            if t < n_real and not (i % 3 == 0 and t == 1):
+                terms = np.sort(g.choice(8, size=1 + t % 3, replace=False))
+            ling.append(SparseVec(terms, g.uniform(0.5, 2.0, terms.size), 8))
+        users = np.zeros((5, USER_DIM))
+        users[:n_real] = g.normal(size=(n_real, USER_DIM))
+        out.append(FeatureBundle(linguistic=tuple(ling), users=users,
+                                 mask=np.arange(5) < n_real, temporal=g.normal(size=4),
+                                 label=("true", "fake")[g.integers(2)]))
+    return out
+
+
+@pytest.mark.parametrize("variant, sizes", [
+    ("full", dict(E_s=3)), ("no_cim", dict(E_u=3)), ("no_time", {}), ("freq", {}),
+])
+def test_evaluate_in_chunks_equals_per_story_forward(variant, sizes):
+    cfg = ModelConfig(variant=variant, **dict(BATCH, **sizes))
+    params = init_params(cfg, seed=6)
+    data = varied_bundles(2 * SCORE_CHUNK + 5)  # the last chunk is partial
+    confusion = np.zeros((2, 2), dtype=int)
+    total_loss = 0.0
+    for b in data:
+        z = forward(b, params, cfg)[0].data
+        y = ("true", "fake").index(b.label)
+        confusion[y, int(np.argmax(z))] += 1
+        total_loss += float(-np.log(np.maximum(z[y], PROB_FLOOR)))
+    report = evaluate(data, params, cfg)
+    assert np.array_equal(report.confusion, confusion)
+    assert report.loss == total_loss / len(data)
+
+
+def test_evaluate_leaves_no_gradient_and_training_unchanged():
+    cfg = ModelConfig(variant="full", max_epochs=3, patience=10, seed=5, dropout=0.5,
+                      **{k: v for k, v in BATCH.items() if k != "dropout"})
+    params = init_params(cfg)
+    evaluate(varied_bundles(SCORE_CHUNK + 1), params, cfg)
+    assert all(p.grad is None for p in params.values())
+    # validation of 2 stories or of more than a chunk: the same training steps
+    data = varied_bundles(8 + SCORE_CHUNK + 1, seed=1)
+    _, short, _ = train(data[:6], data[6:8], cfg)
+    _, long, _ = train(data[:6], data[8:], cfg)
+    assert short.train_loss == long.train_loss
+
+
+@pytest.mark.parametrize("position", [0, SCORE_CHUNK // 2, SCORE_CHUNK + 2])
+@pytest.mark.parametrize("spoil, message", [
+    (lambda b: dataclasses.replace(b, linguistic=b.linguistic[:4], users=b.users[:4],
+                                   mask=b.mask[:4]),
+     "bundle sequence length 4 != config 5"),
+    (lambda b: dataclasses.replace(b, temporal=np.zeros(7)), "temporal length 7 != config 4"),
+    (lambda b: dataclasses.replace(b, linguistic=tuple(
+        SparseVec(v.indices, v.values, 9) for v in b.linguistic)), "vocab size 9 != config 8"),
+], ids=["seq_len", "temporal_len", "vocab_size"])
+def test_evaluate_refuses_a_mismatched_bundle_anywhere(position, spoil, message):
+    cfg = ModelConfig(variant="full", **BATCH)
+    data = varied_bundles(SCORE_CHUNK + 3)
+    data[position] = spoil(data[position])
+    with pytest.raises(ConfigMismatch, match=f"^{message}$"):
+        evaluate(data, init_params(cfg), cfg)
 
 
 def test_f1_hand_confusion():

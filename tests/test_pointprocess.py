@@ -8,8 +8,9 @@ from scipy.integrate import quad
 
 from cascadefuse import pointprocess
 from cascadefuse.cascade import NewsStory, Post
-from cascadefuse.data import SyntheticProfile, generate_synthetic
+from cascadefuse.data import DatasetManifest, SyntheticProfile, generate_synthetic, split_dataset
 from cascadefuse.errors import CascadeFuseError, ExplodingCascade, InvalidValue
+from cascadefuse.model import ModelConfig, init_params
 from cascadefuse.pointprocess import (
     DEFAULT_C,
     SECONDS_PER_HOUR,
@@ -349,6 +350,19 @@ def test_simulate_zero_profile_only_seed():
 def test_simulate_rejects_non_positive_horizon(horizon):
     with pytest.raises(InvalidValue, match="horizon must be positive and finite"):
         simulate_hawkes(lambda h: 0.5, lambda r: r.poisson(1.0), horizon, seed=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generate_synthetic(1, seed=-1),
+    lambda: split_dataset(DatasetManifest(stories=[
+        make_story([(0.0, 1.0)], label) for label in ("true", "fake", "true")],
+        label_set=("true", "fake")), seed=-1),
+    lambda: init_params(ModelConfig(), seed=-1),
+    lambda: simulate_hawkes(lambda h: 0.5, lambda r: r.poisson(1.0), 3600.0, seed=-1),
+], ids=["generate_synthetic", "split_dataset", "init_params", "simulate_hawkes"])
+def test_negative_seed_is_refused(call):
+    with pytest.raises(InvalidValue, match="^seed -1 must not be negative$"):
+        call()
 
 
 def test_synthetic_cascades_pinned_digest():
