@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import numbers
 import operator
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -26,10 +26,13 @@ from .pointprocess import (
     post_count_series,
 )
 
-URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
+# https?://\S+|www\.\S+ ignoring case; only h/H and w/W fold to h and w, and a
+# plain first class lets the engine skip ahead to candidate characters
+URL_RE = re.compile(r"[hH](?i:ttps?://)\S+|[wW](?i:ww\.)\S+")
 URL_TOKEN = "<url>"
-# a whitespace-delimited URL_TOKEN piece, or a word
-TOKEN_RE = re.compile(rf"(?<!\S){URL_TOKEN}(?!\S)|[\w']+")
+# a word, or a whitespace-delimited URL_TOKEN piece (the lookbehind, after the
+# "<", asks that no non-space precede it)
+TOKEN_RE = re.compile(r"[\w']+|<(?<!\S<)url>(?!\S)")
 HAN = "一-鿿㐀-䶿"  # CJK unified ideographs and extension A
 HAN_RE = re.compile(f"[{HAN}]")
 # a han run of two or more (emitted as bigrams), or any other run (kept whole)
@@ -102,19 +105,38 @@ def build_vocabulary(corpus: list[NewsStory], K: int = DEFAULT_VOCAB_SIZE) -> Vo
     if isinstance(K, bool) or not isinstance(K, numbers.Integral) or K < 0:
         raise InvalidValue(f"vocabulary size K {K!r} must be a non-negative integer")
     docs = [tokenize(p.text) for story in corpus for p in story.posts]
-    n_docs = len(docs)
-    df: Counter = Counter()
-    best_tf: dict[str, int] = {}
-    for doc in docs:
-        counts = Counter(doc)
-        df.update(counts.keys())
-        for w, tf in counts.items():
-            if tf > best_tf.get(w, 0):
-                best_tf[w] = tf
-    idf = {w: math.log((1 + n_docs) / (1 + d)) + 1.0 for w, d in df.items()}
-    scored = sorted(idf, key=lambda w: (-best_tf[w] * idf[w], w))
-    terms = tuple(scored[:K])
-    return Vocabulary(terms=terms, idf=np.array([idf[w] for w in terms]))
+    names = sorted(set(itertools.chain.from_iterable(docs)))  # lexicographic ids break ties
+    _, term, tf = _count_terms(docs, dict(zip(names, range(len(names)))))
+    df = np.bincount(term, minlength=len(names))
+    best_tf = np.zeros(len(names), dtype=np.int64)
+    np.maximum.at(best_tf, term, tf)
+    # math.log once per distinct df, as the scalar formula computes it
+    idf_of_df = np.zeros(df.max(initial=0) + 1)
+    for d in np.flatnonzero(np.bincount(df)).tolist():
+        idf_of_df[d] = math.log((1 + len(docs)) / (1 + d)) + 1.0
+    idf = idf_of_df[df]
+    top = np.argsort(-best_tf * idf, kind="stable")[:K]
+    return Vocabulary(terms=tuple(map(names.__getitem__, top.tolist())), idf=idf[top])
+
+
+def _count_terms(token_lists: list[list[str]], ids: dict[str, int]):
+    """(post, id, count) arrays over the distinct (post, term id) pairs of the
+    posts' tokens, ordered by post then id; tokens not in ids are dropped.
+    One sort of integer pair keys does the grouping."""
+    lengths = list(map(len, token_lists))
+    n_ids = max(len(ids), 1)
+    # a token not in ids gets a negative key, which the sort puts first
+    oov = -len(token_lists) * n_ids
+    keys = np.repeat(np.arange(0, len(token_lists) * n_ids, n_ids), lengths)
+    keys += np.fromiter(map(ids.get, itertools.chain.from_iterable(token_lists),
+                            itertools.repeat(oov)), np.int64, keys.size)
+    keys.sort()
+    keys = keys[np.searchsorted(keys, 0):]
+    edge = np.ones(keys.size + 1, dtype=bool)  # where a run of equal keys starts or ends
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    edges = np.flatnonzero(edge)
+    post, term = np.divmod(keys[edges[:-1]], n_ids)
+    return post, term, edges[1:] - edges[:-1]
 
 
 @dataclass(frozen=True)
@@ -131,16 +153,18 @@ class SparseVec:
         return out
 
 
+def vectorize_posts(token_lists: list[list[str]], vocab: Vocabulary) -> list[SparseVec]:
+    """tf * idf over each post's in-vocabulary tokens; OOV tokens are dropped."""
+    post, indices, tf = _count_terms(token_lists, vocab.index)
+    values = tf * vocab.idf[indices]
+    bounds = np.searchsorted(post, np.arange(len(token_lists) + 1)).tolist()
+    return [SparseVec(indices=indices[a:b], values=values[a:b], dim=vocab.size)
+            for a, b in zip(bounds, bounds[1:])]
+
+
 def vectorize_post(tokens: list[str], vocab: Vocabulary) -> SparseVec:
-    """tf * idf over in-vocabulary tokens; OOV tokens are dropped."""
-    counts = Counter(map(vocab.index.get, tokens))  # OOV tokens count under None
-    counts.pop(None, None)
-    if not counts:
-        return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), vocab.size)
-    indices, tfs = zip(*sorted(counts.items()))
-    indices = np.array(indices, dtype=np.int64)
-    values = np.array(tfs, dtype=float) * vocab.idf[indices]
-    return SparseVec(indices=indices, values=values, dim=vocab.size)
+    """vectorize_posts on one post."""
+    return vectorize_posts([tokens], vocab)[0]
 
 
 @dataclass(frozen=True)
@@ -228,9 +252,8 @@ def build_bundle(story: NewsStory, vocab: Vocabulary, scaler: UserScaler,
     T = config.seq_len
     posts = story.posts[:T]
     n_real = len(posts)
-    empty = SparseVec(np.empty(0, dtype=np.int64), np.empty(0), vocab.size)
-    linguistic = tuple(vectorize_post(tokenize(p.text), vocab) for p in posts) \
-        + (empty,) * (T - n_real)
+    linguistic = tuple(vectorize_posts([tokenize(p.text) for p in posts]
+                                       + [[]] * (T - n_real), vocab))
     users = np.zeros((T, USER_DIM))
     users[:n_real] = _user_rows([p.user for p in posts], scaler)
     mask = np.zeros(T, dtype=bool)

@@ -290,8 +290,10 @@ def simulate_hawkes(s_h_profile, follower_sampler, horizon: float, seed: int,
         k = starts.size
         grid = np.linspace(starts, ends, 5) / SECONDS_PER_HOUR  # column j: window j
         # linspace ends each grid on its stop exactly, so window j's last point
-        # is window j + 1's first: 4k + 1 profile values serve the k windows
-        s_h = np.array([float(s_h_profile(h)) for h in np.append(grid[:4].T, grid[4, -1])])
+        # is window j + 1's first: 4k + 1 profile values serve the k windows,
+        # each as a Python float, on which the profiles' math calls are fastest
+        s_h = np.array([float(s_h_profile(h))
+                        for h in np.append(grid[:4].T, grid[4, -1]).tolist()])
         s_max = np.maximum(s_h[:-1].reshape(k, 4).max(axis=1), s_h[4::4])
         bound = s_max * _excitation(times[:n], followers[:n], starts, params)
         draw = ~(bound <= 0)  # a bound <= 0 is an infinite wait, with no draw; NaN draws

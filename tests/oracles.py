@@ -1,10 +1,14 @@
-"""Reference implementations that more than one test module checks against."""
+"""Reference implementations that the tests check the library against."""
+
+import math
+from collections import Counter
 
 import numpy as np
 from scipy.integrate import quad
 
 from cascadefuse import autodiff as ad
 from cascadefuse.autodiff import Tensor
+from cascadefuse.features import SparseVec, Vocabulary, tokenize
 from cascadefuse.pointprocess import KernelParams
 
 P = KernelParams()
@@ -66,3 +70,34 @@ def gru_chain(X, mask, *weights):
             h = gru_step(X.T @ Tensor(np.eye(T)[t]), h, *weights)
         rows.append(h if mask[t] else zero)
     return ad.stack_rows(rows)
+
+
+def reference_vocabulary(corpus, K):
+    """Top-K tf-idf vocabulary with one Counter per post: df and the largest
+    per-post tf of each term, then a sort by (-tf * idf, term)."""
+    docs = [tokenize(p.text) for story in corpus for p in story.posts]
+    n_docs = len(docs)
+    df = Counter()
+    best_tf = {}
+    for doc in docs:
+        counts = Counter(doc)
+        df.update(counts.keys())
+        for w, tf in counts.items():
+            if tf > best_tf.get(w, 0):
+                best_tf[w] = tf
+    idf = {w: math.log((1 + n_docs) / (1 + d)) + 1.0 for w, d in df.items()}
+    scored = sorted(idf, key=lambda w: (-best_tf[w] * idf[w], w))
+    terms = tuple(scored[:K])
+    return Vocabulary(terms=terms, idf=np.array([idf[w] for w in terms]))
+
+
+def reference_vectorize_post(tokens, vocab):
+    """tf * idf of one post's in-vocabulary tokens, from a Counter."""
+    counts = Counter(map(vocab.index.get, tokens))
+    counts.pop(None, None)
+    if not counts:
+        return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), vocab.size)
+    indices, tfs = zip(*sorted(counts.items()))
+    indices = np.array(indices, dtype=np.int64)
+    return SparseVec(indices=indices, values=np.array(tfs, dtype=float) * vocab.idf[indices],
+                     dim=vocab.size)

@@ -14,11 +14,11 @@ from cascadefuse.cli import run_command
 from cascadefuse.data import generate_synthetic, save_dataset, split_dataset
 from cascadefuse.errors import ConfigMismatch, InvalidValue
 from cascadefuse.features import (
-    URL_RE,
     URL_TOKEN,
     USER_DIM,
     BundleConfig,
     UserScaler,
+    Vocabulary,
     build_bundle,
     build_bundles,
     build_vocabulary,
@@ -26,9 +26,12 @@ from cascadefuse.features import (
     tokenize,
     user_vector,
     vectorize_post,
+    vectorize_posts,
 )
 from cascadefuse.model import ModelConfig, load_checkpoint
 from cascadefuse.pointprocess import DEFAULT_PARAMS
+
+from oracles import reference_vectorize_post, reference_vocabulary
 
 
 def story_of_texts(texts, label="true", sid="s", t_step=10.0, followers=5.0):
@@ -73,12 +76,15 @@ def _split_han(token):
     return out
 
 
+REFERENCE_URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
+
+
 def reference_tokenize(text):
     """Test oracle: the per-piece, per-character tokenizer that `tokenize`
     replaces with one regex pass."""
     if not text:
         return []
-    text = URL_RE.sub(f" {URL_TOKEN} ", text)
+    text = REFERENCE_URL_RE.sub(f" {URL_TOKEN} ", text)
     text = unicodedata.normalize("NFKC", text).lower()
     tokens = []
     for piece in text.split():
@@ -98,6 +104,7 @@ TEXT_PIECES = (
     "www.", "www.e.org", "　", "\x1c", "\x85", "\xa0", " ", "\u200b", "\n",
     "一", "鿿", "㐀", "䶿", "\u33ff", "\u4dc0", "\ua000", "豈", "这是", "新闻",
     "ＦＵＬＬ", "ｗｉｄｅ", "ﬁ", "İ", "’", "'", "_", "word", "Mixed", "3",
+    "httpſ://a", "HTTPS://", "wWw.x", "Www.", "ｈｔｔｐ://x", "\u212a",
 )
 
 
@@ -180,6 +187,32 @@ def test_vocabulary_empty_corpus():
         build_vocabulary([], K=5)
 
 
+# few words, so that equal tf-idf scores are common; a han run tokenizes to bigrams
+CORPUS_WORDS = ("aa", "ab", "b", "zz", "don't", URL_TOKEN, "<URL>", "这是新闻", "假", "假的")
+post_texts = st.lists(st.sampled_from(CORPUS_WORDS), max_size=6).map(" ".join)
+corpora = st.lists(st.lists(post_texts, min_size=1, max_size=4), min_size=1, max_size=4).map(
+    lambda stories: [story_of_texts(texts, sid=f"s{i}") for i, texts in enumerate(stories)])
+
+
+@settings(max_examples=300)
+@given(corpora, st.sampled_from([0, 1, 3, 1000]))
+def test_vocabulary_matches_reference(corpus, K):
+    got, want = build_vocabulary(corpus, K=K), reference_vocabulary(corpus, K)
+    assert got.terms == want.terms
+    assert got.idf.dtype == want.idf.dtype and got.idf.tobytes() == want.idf.tobytes()
+
+
+def test_vocabulary_matches_reference_on_ties_and_empty_posts():
+    corpus = [story_of_texts(["b aa aa", "", "zz <url> 这是新闻"]),
+              story_of_texts(["aa b", "假 假", ""], sid="s2")]
+    for K in (0, 1, 3, 1000):
+        want = reference_vocabulary(corpus, K)
+        got = build_vocabulary(corpus, K=K)
+        assert got.terms == want.terms and got.idf.tobytes() == want.idf.tobytes()
+    # tf 2 beats df 1; among the df-1, tf-1 ties the order is by code point
+    assert build_vocabulary(corpus, K=1000).terms[:4] == ("假", "aa", URL_TOKEN, "zz")
+
+
 # --- vectorize ---
 
 def test_vectorize_no_in_vocab_tokens():
@@ -208,6 +241,38 @@ def test_vectorize_nnz_bounded_by_tokens(tokens):
     vocab = build_vocabulary(TOY, K=3)
     v = vectorize_post(tokens, vocab)
     assert v.indices.size <= len(tokens)
+
+
+def assert_as_post_by_post(token_lists, vocab):
+    """vectorize_posts equals vectorize_post and the Counter oracle post by
+    post, with int64 indices and float64 values byte for byte."""
+    got = vectorize_posts(token_lists, vocab)
+    for want in ([vectorize_post(t, vocab) for t in token_lists],
+                 [reference_vectorize_post(t, vocab) for t in token_lists]):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dim == w.dim
+            assert g.indices.dtype == np.int64 and g.values.dtype == np.float64
+            assert g.indices.tobytes() == w.indices.tobytes()
+            assert g.values.tobytes() == w.values.tobytes()
+    return got
+
+
+@given(st.lists(st.lists(st.sampled_from(["apple", "banana", "cherry", "oov", "kiwi"]),
+                         max_size=8), max_size=6),
+       st.sampled_from([0, 1, 3]))
+def test_vectorize_posts_is_vectorize_post_per_post(token_lists, K):
+    assert_as_post_by_post(token_lists, build_vocabulary(TOY, K=K))
+
+
+def test_vectorize_posts_empty_oov_repeated_and_size_zero_vocabulary():
+    token_lists = [[], ["oov", "durian"], ["apple", "banana", "apple"], [], ["cherry"]]
+    got = assert_as_post_by_post(token_lists, build_vocabulary(TOY, K=3))
+    assert [v.indices.size for v in got] == [0, 0, 2, 0, 1]
+    # a tree import whose texts are all empty yields a size-0 vocabulary
+    got = assert_as_post_by_post(token_lists, Vocabulary(terms=(), idf=np.empty(0)))
+    assert all(v.dim == 0 and v.indices.size == 0 for v in got)
+    assert vectorize_posts([], build_vocabulary(TOY, K=3)) == []
 
 
 # --- user scaling ---
